@@ -76,7 +76,7 @@ pub trait DomainBackend: 'static {
     /// Bridges the domain's stats into `registry`.
     fn bind_stats(&mut self, registry: Arc<Registry>);
 
-    /// Periodic housekeeping, called once per domain-thread tick.
+    /// Periodic housekeeping, called after every domain-thread pump.
     /// Durable backends checkpoint here; the default does nothing.
     fn maintain(&mut self) {}
 

@@ -5,7 +5,8 @@
 //! single engine thread. With the engine sharded (N threads) and
 //! scale-out (M gateways per domain, [`crate::GatewayPool`]), the domain
 //! gets its own thread: [`DomainService`] owns the host, applies queued
-//! multicasts, advances the virtual clock a slice per real tick, and
+//! multicasts, advances the virtual clock a slice per pump (one pump per
+//! real tick when idle; drain, pump, repeat while commands are queued), and
 //! routes ordered deliveries out to every registered gateway's shard
 //! queues. Gateways talk to it through a cloneable [`DomainLink`].
 //!
@@ -20,13 +21,13 @@ use ftd_obs::{names, Registry};
 use ftd_sim::SimDuration;
 use ftd_totem::GroupId;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How much real time the domain thread waits per tick, and how much
-/// virtual time the in-process domain advances per tick.
+/// How long an idle domain thread waits between pumps, and how much
+/// virtual time the in-process domain advances per pump.
 pub(crate) const TICK_REAL: Duration = Duration::from_millis(1);
 pub(crate) const TICK_VIRTUAL: SimDuration = SimDuration::from_millis(2);
 
@@ -273,54 +274,73 @@ fn domain_loop<B: DomainBackend>(
         }
     };
     let mut sinks: Vec<DeliverySink> = Vec::new();
+    let health_gauge = registry.gauge(names::GATEWAY_HEALTH);
+    let mut published: Option<(bool, HostView)> = None;
     let mut next_tick = Instant::now() + TICK_REAL;
     loop {
-        // Gather commands until the tick boundary. The ring advances on
-        // a fixed real-time cadence — token rotation is not free — so no
-        // matter how fast multicasts arrive, ordered deliveries surface
-        // at tick granularity. That pacing is what makes the per-shard
-        // admission window the throughput lever: a gateway overlaps up
-        // to `max_inflight` requests per shard into each rotation.
+        // Drain, then pump. Whatever is queued is applied without
+        // blocking and the domain is pumped at once: under load pumps run
+        // back to back, each on all the input that arrived during the one
+        // before, and the thread never sleeps — or pumps — past a queued
+        // command. Only an empty queue waits, for the first command or
+        // the `TICK_REAL` boundary, whichever comes first; the boundary
+        // is the idle cadence that keeps ring timers, `maintain()` and
+        // the health gauge moving. Ordered deliveries therefore surface
+        // one pump, not one tick, after the multicasts that caused them,
+        // and what a shard's admission window bounds is the invocations
+        // it overlaps into one pump.
         let mut stop = false;
         let mut disconnected = false;
         let mut quiesce_acks = Vec::new();
+        let mut applied = false;
         loop {
-            let now = Instant::now();
-            if now >= next_tick || stop {
-                break;
-            }
-            match rx.recv_timeout(next_tick - now) {
-                Ok(cmd) => match cmd {
-                    DomainCmd::Multicast(group, payload) => {
-                        rec(&ftd_replay::ReplayEvent::DomainMulticast {
-                            group: group.0,
-                            payload: payload.clone(),
-                        });
-                        host.multicast(group, payload)
-                    }
-                    DomainCmd::Chaos(DomainFault::CrashProcessor(i)) => {
-                        rec(&ftd_replay::ReplayEvent::DomainCrash { index: i as u32 });
-                        host.crash_processor(i);
-                    }
-                    DomainCmd::Chaos(DomainFault::RecoverProcessor(i)) => {
-                        rec(&ftd_replay::ReplayEvent::DomainRecover { index: i as u32 });
-                        host.recover_processor(i);
-                    }
-                    DomainCmd::Register(sink) => sinks.push(sink),
-                    DomainCmd::Quiesce(ack) => quiesce_acks.push(ack),
-                    DomainCmd::Export(ack) => {
-                        let _ = ack.send(host.export_groups());
-                    }
-                    DomainCmd::Restore(groups, ack) => {
-                        let _ = ack.send(host.install_groups(&groups));
-                    }
-                    DomainCmd::Shutdown => stop = true,
-                },
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
+            let cmd = match rx.try_recv() {
+                Ok(cmd) => cmd,
+                Err(TryRecvError::Disconnected) => {
                     disconnected = true;
                     break;
                 }
+                Err(TryRecvError::Empty) => {
+                    let now = Instant::now();
+                    if applied || now >= next_tick {
+                        break;
+                    }
+                    match rx.recv_timeout(next_tick - now) {
+                        Ok(cmd) => cmd,
+                        Err(RecvTimeoutError::Timeout) => break,
+                        Err(RecvTimeoutError::Disconnected) => {
+                            disconnected = true;
+                            break;
+                        }
+                    }
+                }
+            };
+            applied = true;
+            match cmd {
+                DomainCmd::Multicast(group, payload) => {
+                    rec(&ftd_replay::ReplayEvent::DomainMulticast {
+                        group: group.0,
+                        payload: payload.clone(),
+                    });
+                    host.multicast(group, payload)
+                }
+                DomainCmd::Chaos(DomainFault::CrashProcessor(i)) => {
+                    rec(&ftd_replay::ReplayEvent::DomainCrash { index: i as u32 });
+                    host.crash_processor(i);
+                }
+                DomainCmd::Chaos(DomainFault::RecoverProcessor(i)) => {
+                    rec(&ftd_replay::ReplayEvent::DomainRecover { index: i as u32 });
+                    host.recover_processor(i);
+                }
+                DomainCmd::Register(sink) => sinks.push(sink),
+                DomainCmd::Quiesce(ack) => quiesce_acks.push(ack),
+                DomainCmd::Export(ack) => {
+                    let _ = ack.send(host.export_groups());
+                }
+                DomainCmd::Restore(groups, ack) => {
+                    let _ = ack.send(host.install_groups(&groups));
+                }
+                DomainCmd::Shutdown => stop = true,
             }
         }
         if disconnected {
@@ -366,10 +386,13 @@ fn domain_loop<B: DomainBackend>(
 
         // Re-assess serving health: degraded while the ring is broken,
         // recovered the tick it heals.
-        let healthy = host.is_operational();
-        shared.healthy.store(healthy, Ordering::SeqCst);
-        registry.set_gauge(names::GATEWAY_HEALTH, healthy as i64);
-        *shared.view.lock().expect("view lock") = Arc::new(host.view());
+        let current = (host.is_operational(), host.view());
+        if published.as_ref() != Some(&current) {
+            shared.healthy.store(current.0, Ordering::SeqCst);
+            health_gauge.set(current.0 as i64);
+            *shared.view.lock().expect("view lock") = Arc::new(current.1.clone());
+            published = Some(current);
+        }
 
         if stop {
             break;
@@ -384,5 +407,167 @@ fn domain_loop<B: DomainBackend>(
             digest: ftd_replay::hash_domain_state(&state),
             groups: state.len() as u32,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Seen {
+        Multicast(Vec<u8>),
+        Pump(u32),
+    }
+
+    /// A backend that logs what the loop does to it. While `feedback` is
+    /// set, every pump queues three multicasts tagged with its own number
+    /// *during* the pump; a multicast surfaces as a delivery `delay`
+    /// pumps after it was applied.
+    struct Scripted {
+        log: Arc<Mutex<Vec<Seen>>>,
+        feedback: Arc<OnceLock<DomainLink>>,
+        pump_time: Duration,
+        delay: u32,
+        pumps: u32,
+        pending: Vec<(u32, GroupId, Vec<u8>)>,
+    }
+
+    impl DomainBackend for Scripted {
+        fn domain(&self) -> u32 {
+            1
+        }
+        fn gateway_group(&self) -> GroupId {
+            GroupId(0x4000_0001)
+        }
+        fn is_operational(&self) -> bool {
+            true
+        }
+        fn multicast(&mut self, group: GroupId, payload: Vec<u8>) {
+            self.log
+                .lock()
+                .unwrap()
+                .push(Seen::Multicast(payload.clone()));
+            self.pending.push((self.pumps + self.delay, group, payload));
+        }
+        fn pump(&mut self, _d: SimDuration) -> Vec<(GroupId, Vec<u8>)> {
+            self.pumps += 1;
+            self.log.lock().unwrap().push(Seen::Pump(self.pumps));
+            if let Some(link) = self.feedback.get() {
+                for i in 0..3u8 {
+                    link.multicast(GroupId(7), vec![self.pumps as u8, i]);
+                }
+            }
+            thread::sleep(self.pump_time);
+            let due = self.pumps;
+            let (ready, later) = std::mem::take(&mut self.pending)
+                .into_iter()
+                .partition(|(at, _, _)| *at <= due);
+            self.pending = later;
+            ready.into_iter().map(|(_, g, p)| (g, p)).collect()
+        }
+        fn view(&self) -> HostView {
+            HostView::default()
+        }
+        fn crash_processor(&mut self, _index: usize) -> bool {
+            false
+        }
+        fn recover_processor(&mut self, _index: usize) -> bool {
+            false
+        }
+        fn bind_stats(&mut self, _registry: Arc<Registry>) {}
+    }
+
+    struct Harness {
+        service: DomainService,
+        log: Arc<Mutex<Vec<Seen>>>,
+        feedback: Arc<OnceLock<DomainLink>>,
+    }
+
+    fn start(pump_time: Duration, delay: u32) -> Harness {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let feedback = Arc::new(OnceLock::new());
+        let (thread_log, thread_feedback) = (log.clone(), feedback.clone());
+        let service = DomainService::start(Arc::new(Registry::new()), move || {
+            Ok(Scripted {
+                log: thread_log,
+                feedback: thread_feedback,
+                pump_time,
+                delay,
+                pumps: 0,
+                pending: Vec::new(),
+            })
+        })
+        .expect("domain starts");
+        Harness {
+            service,
+            log,
+            feedback,
+        }
+    }
+
+    #[test]
+    fn multicasts_queued_during_a_pump_are_applied_before_the_next_pump() {
+        // Pumps longer than TICK_REAL: the loop comes around already past
+        // the tick boundary, with input waiting.
+        let h = start(Duration::from_millis(2), 0);
+        h.feedback.set(h.service.link()).expect("set once");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.log.lock().unwrap().len() < 80 {
+            assert!(Instant::now() < deadline, "domain thread stalled");
+            thread::sleep(Duration::from_millis(1));
+        }
+        h.service.shutdown();
+        let log = h.log.lock().unwrap();
+        let mut fed_back = 0;
+        for (i, seen) in log.iter().enumerate() {
+            let Seen::Pump(n) = seen else { continue };
+            let Some(next) = log[i + 1..].iter().position(|s| matches!(s, Seen::Pump(_))) else {
+                break;
+            };
+            let between = &log[i + 1..i + 1 + next];
+            if between.is_empty() && fed_back == 0 {
+                continue; // pumps before the feedback link was set
+            }
+            let expected: Vec<Seen> = (0..3u8)
+                .map(|k| Seen::Multicast(vec![*n as u8, k]))
+                .collect();
+            assert_eq!(between, expected, "input applied after pump {n}");
+            fed_back += 1;
+        }
+        assert!(fed_back >= 10, "only {fed_back} pumps checked");
+    }
+
+    #[test]
+    fn an_idle_service_pumps_about_once_per_tick() {
+        let h = start(Duration::ZERO, 0);
+        let pumps = |h: &Harness| h.log.lock().unwrap().len() as u128;
+        let (t0, n0) = (Instant::now(), pumps(&h));
+        thread::sleep(Duration::from_millis(100));
+        let (elapsed, n) = (t0.elapsed(), pumps(&h) - n0);
+        h.service.shutdown();
+        // Never faster than the tick; slower only as far as a loaded
+        // test machine delays the wake-ups.
+        assert!(
+            n <= elapsed.as_millis() + 1,
+            "{n} pumps in {elapsed:?}: the idle loop spins"
+        );
+        assert!(n >= 20, "{n} pumps in {elapsed:?}: the idle loop stalls");
+    }
+
+    #[test]
+    fn quiesce_pumps_until_in_flight_deliveries_are_routed() {
+        let h = start(Duration::ZERO, 4);
+        let link = h.service.link();
+        let (tx, rx) = mpsc::channel();
+        link.register_sink(Box::new(move |group, payload| {
+            tx.send((group, payload.to_vec())).is_ok()
+        }));
+        link.multicast(GroupId(9), b"in flight".to_vec());
+        link.quiesce(Duration::from_secs(10));
+        // No waiting here: the delivery was routed before the ack.
+        assert_eq!(rx.try_recv(), Ok((GroupId(9), b"in flight".to_vec())));
+        h.service.shutdown();
     }
 }

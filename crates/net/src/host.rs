@@ -63,7 +63,7 @@ pub use ftd_core::HostError;
 
 /// A [`DomainView`] snapshot taken from the relay daemon's directory;
 /// handed to the engine for one batch of events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostView {
     peers: usize,
     votes: BTreeMap<u32, bool>,

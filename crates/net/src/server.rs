@@ -29,7 +29,8 @@
 //!   batch admission of whatever waited — deferral is the exception,
 //!   not the steady state,
 //! * one **domain thread** ([`crate::DomainService`]) owns the in-process
-//!   [`DomainHost`], advances its virtual clock a slice per real tick,
+//!   [`DomainHost`], advances its virtual clock a slice per pump (once
+//!   per millisecond when idle, back to back while commands are queued),
 //!   and routes ordered deliveries back to the shard queues (replica
 //!   responses to the shard owning their group, gateway-group
 //!   coordination to every shard). Several gateways may share it — see
@@ -42,7 +43,7 @@
 //! # Graceful degradation (§3.5 fault model)
 //!
 //! The gateway survives its domain rather than crashing with it. The
-//! domain thread re-checks the ring every tick; while it is not
+//! domain thread re-checks the ring after every pump; while it is not
 //! operational the gateway is **degraded**: the health gauge drops to 0,
 //! `GET /health` answers `503 degraded`, and new connections are shed at
 //! accept time (existing clients keep being served — with a partial ring
@@ -1406,7 +1407,7 @@ pub(crate) fn stats_from_registry(registry: &Registry) -> Stats {
     let mut stats = Stats::default();
     for (name, value) in &snap.counters {
         if *value > 0 {
-            stats.add(name, *value);
+            stats.add(name.clone(), *value);
         }
     }
     for (name, hist) in &snap.histograms {

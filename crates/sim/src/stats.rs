@@ -11,9 +11,15 @@
 //! reports and a live `/metrics` endpoint speak one vocabulary. The
 //! bridge is strictly write-through — the deterministic in-`Stats` state
 //! is unaffected by it.
+//!
+//! Counters are bumped once or more per simulated event, so the hot path
+//! allocates nothing and takes no lock: names are `&'static str` literals
+//! stored as-is, and a bound registry's [`Counter`] handle is resolved
+//! once per name, not once per increment.
 
 use crate::SimDuration;
-use ftd_obs::Registry;
+use ftd_obs::{Counter, Registry};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -21,7 +27,9 @@ use std::sync::Arc;
 /// A set of named counters and sample series.
 ///
 /// Names are free-form strings; components use a `component.metric`
-/// convention, e.g. `"gateway.duplicates_suppressed"`.
+/// convention, e.g. `"gateway.duplicates_suppressed"`. Counter names are
+/// normally literals; an owned `String` is accepted for names computed
+/// at run time (a view rebuilt from a registry snapshot).
 ///
 /// # Examples
 ///
@@ -35,10 +43,26 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Stats {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<Cow<'static, str>, CounterSlot>,
     samples: BTreeMap<String, Vec<u64>>,
     /// Write-through mirror; see the module docs.
     registry: Option<Arc<Registry>>,
+}
+
+#[derive(Debug, Default, Clone)]
+struct CounterSlot {
+    value: u64,
+    /// The bound registry's counter of the same name.
+    mirror: Option<Arc<Counter>>,
+}
+
+impl CounterSlot {
+    fn add(&mut self, delta: u64) {
+        self.value += delta;
+        if let Some(mirror) = &self.mirror {
+            mirror.add(delta);
+        }
+    }
 }
 
 impl Stats {
@@ -52,10 +76,10 @@ impl Stats {
     /// events that happened before the bridge existed (e.g. Totem ring
     /// formation during domain bootstrap).
     pub fn bind_registry(&mut self, registry: Arc<Registry>) {
-        for (name, &value) in &self.counters {
-            if value > 0 {
-                registry.add(name, value);
-            }
+        for (name, slot) in &mut self.counters {
+            let mirror = registry.counter(name);
+            mirror.add(slot.value);
+            slot.mirror = Some(mirror);
         }
         for (name, series) in &self.samples {
             let hist = registry.histogram(name);
@@ -70,29 +94,41 @@ impl Stats {
     /// use this so accidental writes cannot pollute the live registry).
     pub fn detach_registry(&mut self) {
         self.registry = None;
-    }
-
-    /// Adds `delta` to the named counter, creating it at zero if absent.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
-        if let Some(registry) = &self.registry {
-            registry.add(name, delta);
+        for slot in self.counters.values_mut() {
+            slot.mirror = None;
         }
     }
 
+    /// Adds `delta` to the named counter, creating it at zero if absent.
+    pub fn add(&mut self, name: impl Into<Cow<'static, str>>, delta: u64) {
+        let name = name.into();
+        if let Some(slot) = self.counters.get_mut(name.as_ref()) {
+            slot.add(delta);
+            return;
+        }
+        let mut slot = CounterSlot {
+            value: 0,
+            mirror: self.registry.as_ref().map(|r| r.counter(&name)),
+        };
+        slot.add(delta);
+        self.counters.insert(name, slot);
+    }
+
     /// Increments the named counter by one.
-    pub fn inc(&mut self, name: &str) {
+    pub fn inc(&mut self, name: impl Into<Cow<'static, str>>) {
         self.add(name, 1);
     }
 
     /// Current value of the named counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.get(name).map_or(0, |slot| slot.value)
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters
+            .iter()
+            .map(|(k, slot)| (k.as_ref(), slot.value))
     }
 
     /// Records one raw sample (e.g. a nanosecond latency) in the named series.
@@ -132,8 +168,8 @@ impl Stats {
     /// Merges another `Stats` into this one (counters add, samples
     /// append); a bound registry sees the merged-in values too.
     pub fn merge(&mut self, other: &Stats) {
-        for (k, &v) in &other.counters {
-            self.add(k, v);
+        for (k, slot) in &other.counters {
+            self.add(k.clone(), slot.value);
         }
         for (k, v) in &other.samples {
             self.samples.entry(k.clone()).or_default().extend(v);
@@ -271,6 +307,28 @@ mod tests {
         snapshot.detach_registry();
         snapshot.inc("totem.token_hops");
         assert_eq!(registry.counter("totem.token_hops").get(), 8);
+    }
+
+    #[test]
+    fn counters_first_touched_after_binding_mirror_too() {
+        let registry = Arc::new(Registry::new());
+        let mut s = Stats::new();
+        s.bind_registry(registry.clone());
+        // The handle is resolved on first touch and reused afterwards.
+        let handle = registry.counter("totem.broadcasts");
+        s.inc("totem.broadcasts");
+        s.add("totem.broadcasts", 2);
+        assert_eq!(handle.get(), 3);
+        // A name computed at run time lands on the same counter.
+        s.add(String::from("totem.broadcasts"), 1);
+        assert_eq!(s.counter("totem.broadcasts"), 4);
+        assert_eq!(handle.get(), 4);
+        // Clearing resets the deterministic view only; later increments
+        // keep flowing to the registry.
+        s.clear();
+        s.inc("totem.broadcasts");
+        assert_eq!(s.counter("totem.broadcasts"), 1);
+        assert_eq!(handle.get(), 5);
     }
 
     #[test]

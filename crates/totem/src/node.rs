@@ -89,6 +89,10 @@ pub struct TotemNode {
 
     send_queue: VecDeque<(GroupId, Vec<u8>, bool)>,
     last_token_processed: u64,
+    /// `token.seq` as this node forwarded it at its previous token visit:
+    /// every sequence number at or below it was assigned a full rotation
+    /// ago, so one still missing now is lost rather than in flight.
+    seq_at_last_visit: u64,
     saved_token: Option<Token>,
 
     joins: BTreeMap<ProcessorId, Join>,
@@ -124,6 +128,7 @@ impl TotemNode {
             gc_floor: 0,
             send_queue: VecDeque::new(),
             last_token_processed: 0,
+            seq_at_last_visit: 0,
             saved_token: None,
             joins: BTreeMap::new(),
             armed: [0; KIND_COUNT],
@@ -209,6 +214,18 @@ impl TotemNode {
     /// Messages queued but not yet broadcast (flow-control backlog).
     pub fn backlog(&self) -> usize {
         self.send_queue.len()
+    }
+
+    /// Messages currently retained for retransmission and recovery
+    /// rebroadcast: bounded by `retention_slack` plus what is in flight.
+    pub fn retained(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Everything at or below this sequence number has been
+    /// garbage-collected locally.
+    pub fn gc_floor(&self) -> u64 {
+        self.gc_floor
     }
 
     // ------------------------------------------------------------------
@@ -571,41 +588,19 @@ impl TotemNode {
         };
         while self.delivered_up_to < limit {
             let s = self.delivered_up_to + 1;
-            let m = self
-                .store
-                .get(&s)
-                .expect("contiguity below received_up_to")
-                .clone();
             self.delivered_up_to = s;
+            let m = self.store.get(&s).expect("contiguity below received_up_to");
             if m.control {
-                self.apply_control(&m);
-                continue;
-            }
-            if self.subscriptions.contains(&m.group) {
+                apply_control(&mut self.directory, m);
+            } else if self.subscriptions.contains(&m.group) {
                 ctx.stats().inc("totem.delivered");
                 self.outputs.push_back(TotemEvent::Deliver(GroupMessage {
                     seq: m.seq,
                     sender: m.sender,
                     group: m.group,
-                    payload: m.payload,
+                    payload: m.payload.clone(),
                 }));
             }
-        }
-    }
-
-    fn apply_control(&mut self, m: &Regular) {
-        let Some((op, proc)) = parse_control(&m.payload) else {
-            return;
-        };
-        let entry = self.directory.entry(m.group).or_default();
-        match op {
-            1 => {
-                entry.insert(proc);
-            }
-            2 => {
-                entry.remove(&proc);
-            }
-            _ => {}
         }
     }
 
@@ -649,9 +644,16 @@ impl TotemNode {
         }
         token.rtr = unserved;
 
-        // 2. Request what we are missing.
+        // 2. Request what we are missing — but only sequence numbers
+        // that were already assigned at our previous visit. The token
+        // (unicast) and the broadcasts it follows (multicast) draw their
+        // latency from the same distribution, so anything newer is as
+        // likely still in flight as lost; asking for it makes the next
+        // holder re-multicast a message that is about to arrive. A real
+        // loss is requested one rotation later.
+        let request_up_to = token.seq.min(self.seq_at_last_visit);
         let mut s = self.received_up_to + 1;
-        while s <= token.seq && token.rtr.len() < self.config.max_rtr {
+        while s <= request_up_to && token.rtr.len() < self.config.max_rtr {
             if !self.store.contains_key(&s) && !token.rtr.contains(&s) {
                 token.rtr.push(s);
             }
@@ -718,10 +720,19 @@ impl TotemNode {
         let gc_below = token.aru.saturating_sub(self.config.retention_slack);
         if gc_below > self.gc_floor {
             self.gc_floor = gc_below;
-            self.store.retain(|&s, _| s > gc_below);
+            // Keys are sequence numbers: what falls below the floor is a
+            // prefix, so this costs the messages dropped, not the ones kept.
+            while self
+                .store
+                .first_key_value()
+                .is_some_and(|(&s, _)| s <= gc_below)
+            {
+                self.store.pop_first();
+            }
         }
 
         // 6. Forward to the successor.
+        self.seq_at_last_visit = token.seq;
         token.token_id += 1;
         let successor = token.successor_of(self.me);
         ctx.stats().inc("totem.token_hops");
@@ -802,6 +813,22 @@ impl TotemNode {
     }
 }
 
+fn apply_control(directory: &mut BTreeMap<GroupId, BTreeSet<ProcessorId>>, m: &Regular) {
+    let Some((op, proc)) = parse_control(&m.payload) else {
+        return;
+    };
+    let entry = directory.entry(m.group).or_default();
+    match op {
+        1 => {
+            entry.insert(proc);
+        }
+        2 => {
+            entry.remove(&proc);
+        }
+        _ => {}
+    }
+}
+
 fn control_payload(op: u8, proc: ProcessorId) -> Vec<u8> {
     let mut v = Vec::with_capacity(5);
     v.push(op);
@@ -827,6 +854,50 @@ mod tests {
         let p = control_payload(1, ProcessorId(9));
         assert_eq!(parse_control(&p), Some((1, ProcessorId(9))));
         assert_eq!(parse_control(&[1, 2]), None);
+    }
+
+    /// A one-member ring: the node holds the token every hop and delivers
+    /// its own broadcasts to itself.
+    struct Solo(TotemNode);
+
+    impl ftd_sim::Actor for Solo {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.0.start(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+            self.0.on_timer(ctx, tag);
+        }
+        fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: Datagram) {
+            self.0.on_datagram(ctx, &dgram);
+        }
+    }
+
+    #[test]
+    fn gc_keeps_exactly_the_window_above_the_floor() {
+        let config = TotemConfig {
+            retention_slack: 8,
+            ..TotemConfig::default()
+        };
+        let mut world = ftd_sim::World::new(5);
+        let lan = world.add_lan(ftd_sim::LanConfig::default());
+        let p = world.add_processor("solo", lan, move |me| {
+            Box::new(Solo(TotemNode::new(me, config, 0)))
+        });
+        world.run_for(ftd_sim::SimDuration::from_millis(20));
+        let node = &mut world.actor_mut::<Solo>(p).unwrap().0;
+        assert!(node.is_operational());
+        for i in 0..100u8 {
+            node.multicast(GroupId(1), vec![i]);
+        }
+        world.run_for(ftd_sim::SimDuration::from_millis(20));
+        let node = &world.actor::<Solo>(p).unwrap().0;
+        assert_eq!(node.received_up_to, 100);
+        assert_eq!(node.gc_floor, node.stable_aru - 8);
+        assert!(node.gc_floor >= 80, "floor stuck at {}", node.gc_floor);
+        assert_eq!(
+            node.store.keys().copied().collect::<Vec<_>>(),
+            (node.gc_floor + 1..=100).collect::<Vec<_>>()
+        );
     }
 
     #[test]

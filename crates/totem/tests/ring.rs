@@ -16,6 +16,9 @@ struct Host {
     delivered: Vec<(u64, ProcessorId, Vec<u8>)>,
     memberships: Vec<MembershipView>,
     gaps: u32,
+    /// Fault injection: discard the next `Regular` datagram that reaches
+    /// this host (as if the LAN lost this one receiver's copy).
+    drop_next_regular: bool,
 }
 
 impl Host {
@@ -27,6 +30,7 @@ impl Host {
             delivered: Vec::new(),
             memberships: Vec::new(),
             gaps: 0,
+            drop_next_regular: false,
         }
     }
 
@@ -77,6 +81,12 @@ impl Actor for Host {
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: Datagram) {
+        if self.drop_next_regular
+            && matches!(TotemMsg::decode(&dgram.payload), Ok(TotemMsg::Regular(_)))
+        {
+            self.drop_next_regular = false;
+            return;
+        }
         self.totem.on_datagram(ctx, &dgram);
         self.drain();
     }
@@ -153,6 +163,105 @@ fn total_order_survives_heavy_datagram_loss() {
         assert_eq!(&seqs[0], other);
     }
     assert!(world.stats().counter("totem.retransmissions") > 0);
+}
+
+#[test]
+fn lossless_ring_never_retransmits() {
+    // On a jittered but lossless LAN the token regularly overtakes the
+    // broadcast it follows. A message that is merely still in flight must
+    // not be requested: no retransmissions, no duplicate receipts.
+    // Counted from a formed ring on: formation itself rebroadcasts.
+    let (mut world, procs) = build(4, 12, 0.0, TotemConfig::default(), 0);
+    world.run_for(SimDuration::from_millis(20));
+    let before = world.stats().clone();
+    let since = |world: &World, name: &str| world.stats().counter(name) - before.counter(name);
+    for &p in &procs {
+        world.actor_mut::<Host>(p).unwrap().to_send = 75;
+        world.post(p, SEND_TICK);
+    }
+    world.run_for(SimDuration::from_millis(200));
+    let seqs = sequences(&world, &procs);
+    assert_eq!(seqs[0].len(), 300, "all 300 messages delivered");
+    for other in &seqs[1..] {
+        assert_eq!(&seqs[0], other, "delivery sequences diverge");
+    }
+    assert_eq!(since(&world, "totem.broadcasts"), 300);
+    assert_eq!(since(&world, "totem.retransmissions"), 0);
+    // The LAN loops a multicast back to its sender, which already holds
+    // the message: those copies are the only duplicates.
+    assert_eq!(since(&world, "totem.duplicate_regulars"), 300);
+}
+
+#[test]
+fn single_lost_datagram_is_recovered_within_two_rotations() {
+    let (mut world, procs) = build(4, 13, 0.0, TotemConfig::default(), 0);
+    world.run_for(SimDuration::from_millis(20));
+    let victim = procs[2];
+    world.actor_mut::<Host>(victim).unwrap().drop_next_regular = true;
+    world.post(procs[1], EXTRA_TICK);
+    // Step finely to the moment the victim's copy is discarded, then to
+    // the moment the retransmitted copy is delivered there.
+    let step = SimDuration::from_micros(10);
+    for _ in 0..1_000 {
+        if !world.actor::<Host>(victim).unwrap().drop_next_regular {
+            break;
+        }
+        world.run_for(step);
+    }
+    assert!(!world.actor::<Host>(victim).unwrap().drop_next_regular);
+    let rotations_at_loss = world.stats().counter("totem.token_rotations");
+    for _ in 0..1_000 {
+        if !world.actor::<Host>(victim).unwrap().delivered.is_empty() {
+            break;
+        }
+        world.run_for(step);
+    }
+    let rotations_to_recover = world.stats().counter("totem.token_rotations") - rotations_at_loss;
+    assert!(
+        rotations_to_recover <= 2,
+        "recovery took {rotations_to_recover} rotations"
+    );
+    assert_eq!(world.stats().counter("totem.retransmissions"), 1);
+    let seqs = sequences(&world, &procs);
+    assert_eq!(seqs[0].len(), 1);
+    for other in &seqs[1..] {
+        assert_eq!(&seqs[0], other);
+    }
+}
+
+#[test]
+fn retained_messages_stay_bounded_by_the_retention_slack() {
+    let config = TotemConfig::default();
+    let per_node = 3 * config.retention_slack as u32 / 4;
+    let (mut world, procs) = build(4, 14, 0.0, config, 0);
+    world.run_for(SimDuration::from_millis(20));
+    for &p in &procs {
+        inject_burst(&mut world, p, per_node);
+    }
+    world.run_for(SimDuration::from_millis(200));
+    let total = 4 * u64::from(per_node);
+    let one_rotation = (procs.len() * config.max_messages_per_token) as u64;
+    for &p in &procs {
+        let host: &Host = world.actor(p).unwrap();
+        assert_eq!(host.delivered.len() as u64, total, "{p} delivered");
+        let retained = host.totem.retained() as u64;
+        assert!(
+            retained <= config.retention_slack + one_rotation,
+            "{p} retains {retained} messages"
+        );
+        assert!(
+            host.totem.gc_floor() + config.retention_slack + one_rotation >= total,
+            "{p} gc floor stuck at {}",
+            host.totem.gc_floor()
+        );
+        // Exactly the window above the floor is kept: nothing at or
+        // below it survives, nothing above it was dropped.
+        assert_eq!(
+            retained,
+            host.totem.received_up_to() - host.totem.gc_floor(),
+            "{p} retained set"
+        );
+    }
 }
 
 #[test]
