@@ -11,7 +11,7 @@
 use ftd_bench::*;
 use ftd_core::{DomainDaemon, EnhancedClient, PlainClient, StableCounters};
 use ftd_eternal::{AppObject, FtProperties, Outcome, ReplicationStyle};
-use ftd_giop::{ByteOrder, GiopMessage, MessageReader, ObjectKey, Reply, Request};
+use ftd_giop::{ByteOrder, FrameBuf, GiopMessage, ObjectKey, Reply, Request};
 use ftd_sim::{Actor, Context, LanConfig, ProcessorId, SimDuration, TcpEvent, World};
 use ftd_totem::GroupId;
 use std::cell::RefCell;
@@ -114,7 +114,7 @@ fn e1_fig1_topology() {
 
 /// A bare unreplicated IIOP server, for the no-infrastructure baseline.
 struct RawServer {
-    readers: BTreeMap<ftd_sim::ConnId, MessageReader>,
+    readers: BTreeMap<ftd_sim::ConnId, FrameBuf>,
     value: u64,
 }
 
@@ -125,14 +125,14 @@ impl Actor for RawServer {
     fn on_tcp(&mut self, ctx: &mut Context<'_>, ev: TcpEvent) {
         match ev {
             TcpEvent::Accepted { conn, .. } => {
-                self.readers.insert(conn, MessageReader::new());
+                self.readers.insert(conn, FrameBuf::new());
             }
             TcpEvent::Data { conn, bytes } => {
                 let Some(reader) = self.readers.get_mut(&conn) else {
                     return;
                 };
                 reader.push(&bytes);
-                while let Ok(Some(GiopMessage::Request(req))) = reader.next() {
+                while let Ok(Some(GiopMessage::Request(req))) = reader.next_message() {
                     let delta = u64::from_be_bytes(req.body.try_into().unwrap_or([0; 8]));
                     self.value += delta;
                     let reply = Reply::success(req.request_id, self.value.to_be_bytes().to_vec());

@@ -580,7 +580,7 @@ fn run_connections_point(opts: &Opts, n: usize) -> ConnectionsResult {
     for (wave_idx, wave) in conns.chunks(SMOKE_WAVE).enumerate() {
         let mut poller =
             ftd_net::Poller::new().unwrap_or_else(|e| die(&format!("client poller: {e}")));
-        let mut readers: Vec<ftd_giop::MessageReader> = Vec::with_capacity(wave.len());
+        let mut readers: Vec<ftd_giop::FrameBuf> = Vec::with_capacity(wave.len());
         for (t, stream) in wave.iter().enumerate() {
             use std::io::Write;
             (&*stream)
@@ -590,7 +590,7 @@ fn run_connections_point(opts: &Opts, n: usize) -> ConnectionsResult {
                 .set_nonblocking(true)
                 .unwrap_or_else(|e| die(&format!("nonblocking: {e}")));
             poller.register(t as u64, ftd_net::raw_fd(stream), ftd_net::Interest::READ);
-            readers.push(ftd_giop::MessageReader::new());
+            readers.push(ftd_giop::FrameBuf::new());
         }
         let mut pending = wave.len();
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -619,7 +619,7 @@ fn run_connections_point(opts: &Opts, n: usize) -> ConnectionsResult {
                     }
                 }
                 while let Some(msg) = readers[t]
-                    .next()
+                    .next_message()
                     .unwrap_or_else(|e| die(&format!("smoke decode: {e:?}")))
                 {
                     match msg {

@@ -19,6 +19,13 @@
 //!   only through the byte streams and closures it actually causes.
 //! * `bench/src/` — harness/measurement timing (latency clocks, client
 //!   retry deadlines), outside the recorded gateway boundary.
+//!
+//! The same scan polices the single client-input path: the complete wire
+//! frame is the only representation of a client message between a socket
+//! and the engine (`FrameBuf` → `Frame` → `on_client_frame`). The names
+//! of the owned-message fork that used to run beside it are banned
+//! everywhere, so a second framer or engine entry point cannot grow back
+//! unnoticed.
 
 use std::path::{Path, PathBuf};
 
@@ -27,6 +34,17 @@ const BANNED: &[&str] = &[
     "SystemTime::now",
     "thread_rng",
     "from_entropy",
+];
+
+/// The deleted owned-message path (no allowlist): the second GIOP
+/// framer, the engine's owned/byte-stream entry points and their input
+/// enum, and the shard's owned-message twin of `process_frame`.
+const RETIRED: &[&str] = &[
+    "MessageReader",
+    "on_client_message",
+    "on_bytes_from_client",
+    "ReqInput",
+    "process_msg",
 ];
 
 const ALLOWED: &[&str] = &[
@@ -67,8 +85,9 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-#[test]
-fn no_ambient_time_or_entropy_outside_the_recordable_seams() {
+/// Every code line under any crate's `src/` (outside `allowed`) that
+/// contains one of `banned`, as `path:line: text`.
+fn scan(banned: &[&str], allowed: &[&str]) -> Vec<String> {
     let root = crates_root();
     let mut files = Vec::new();
     for crate_dir in std::fs::read_dir(&root).expect("list crates").flatten() {
@@ -88,25 +107,40 @@ fn no_ambient_time_or_entropy_outside_the_recordable_seams() {
             .expect("under crates/")
             .to_string_lossy()
             .replace('\\', "/");
-        if ALLOWED.iter().any(|a| rel.starts_with(a)) {
+        if allowed.iter().any(|a| rel.starts_with(a)) {
             continue;
         }
         let text = std::fs::read_to_string(file).expect("read source");
         for (lineno, line) in text.lines().enumerate() {
             let code = code_part(line);
-            for banned in BANNED {
-                if code.contains(banned) {
-                    violations.push(format!("crates/{rel}:{}: {}", lineno + 1, line.trim()));
-                }
+            if banned.iter().any(|b| code.contains(b)) {
+                violations.push(format!("crates/{rel}:{}: {}", lineno + 1, line.trim()));
             }
         }
     }
+    violations
+}
 
+#[test]
+fn no_ambient_time_or_entropy_outside_the_recordable_seams() {
+    let violations = scan(BANNED, ALLOWED);
     assert!(
         violations.is_empty(),
         "ambient nondeterminism outside the allowlisted seams — route it \
          through the ftd-obs Clock (or extend the allowlist with a \
          justification if it provably cannot reach recorded state):\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn the_owned_message_path_stays_deleted() {
+    let violations = scan(RETIRED, &[]);
+    assert!(
+        violations.is_empty(),
+        "a retired name of the owned-message client path is back — feed \
+         the wire frame to GatewayEngine::on_client_frame (framing bytes \
+         with ftd_giop::FrameBuf) instead of forking the path:\n{}",
         violations.join("\n")
     );
 }

@@ -15,7 +15,7 @@
 //!   thanks to the gateway/domain duplicate suppression.
 
 use ftd_giop::{
-    ByteOrder, GiopMessage, IiopProfile, Ior, MessageReader, Reply, Request, ServiceContext,
+    ByteOrder, FrameBuf, GiopMessage, IiopProfile, Ior, Reply, Request, ServiceContext,
     FT_CLIENT_ID_SERVICE_CONTEXT,
 };
 use ftd_sim::{Actor, ConnId, Context, NetAddr, ProcessorId, SimDuration, TcpEvent};
@@ -60,7 +60,7 @@ pub struct PlainClient {
     reconnect: bool,
     conn: Option<ConnId>,
     connected: bool,
-    reader: MessageReader,
+    reader: FrameBuf,
     next_request: u32,
     outbox: VecDeque<(String, Vec<u8>)>,
     pending: BTreeMap<u32, Pending>,
@@ -83,7 +83,7 @@ impl PlainClient {
             reconnect,
             conn: None,
             connected: false,
-            reader: MessageReader::new(),
+            reader: FrameBuf::new(),
             next_request: 0,
             outbox: VecDeque::new(),
             pending: BTreeMap::new(),
@@ -167,7 +167,7 @@ impl Actor for PlainClient {
         match ev {
             TcpEvent::Connected { conn } if Some(conn) == self.conn => {
                 self.connected = true;
-                self.reader = MessageReader::new();
+                self.reader = FrameBuf::new();
                 // A reconnecting plain ORB naively reissues what it still
                 // awaits — under fresh gateway-assigned identity.
                 if self.reconnect && !self.pending.is_empty() {
@@ -190,7 +190,7 @@ impl Actor for PlainClient {
             }
             TcpEvent::Data { conn, bytes } if Some(conn) == self.conn => {
                 self.reader.push(&bytes);
-                while let Ok(Some(msg)) = self.reader.next() {
+                while let Ok(Some(msg)) = self.reader.next_message() {
                     if let GiopMessage::Reply(reply) = msg {
                         self.on_reply(ctx, reply);
                     }
@@ -228,7 +228,7 @@ pub struct EnhancedClient {
     client_id: u32,
     conn: Option<ConnId>,
     connected: bool,
-    reader: MessageReader,
+    reader: FrameBuf,
     next_request: u32,
     outbox: VecDeque<(String, Vec<u8>)>,
     pending: BTreeMap<u32, Pending>,
@@ -254,7 +254,7 @@ impl EnhancedClient {
             client_id,
             conn: None,
             connected: false,
-            reader: MessageReader::new(),
+            reader: FrameBuf::new(),
             next_request: 0,
             outbox: VecDeque::new(),
             pending: BTreeMap::new(),
@@ -299,7 +299,7 @@ impl EnhancedClient {
     fn connect_current(&mut self, ctx: &mut Context<'_>) {
         let addr = profile_addr(&self.profiles[self.current]);
         self.connected = false;
-        self.reader = MessageReader::new();
+        self.reader = FrameBuf::new();
         self.conn = ctx.tcp_connect(addr).ok();
     }
 
@@ -374,7 +374,7 @@ impl Actor for EnhancedClient {
             }
             TcpEvent::Data { conn, bytes } if Some(conn) == self.conn => {
                 self.reader.push(&bytes);
-                while let Ok(Some(msg)) = self.reader.next() {
+                while let Ok(Some(msg)) = self.reader.next_message() {
                     if let GiopMessage::Reply(reply) = msg {
                         if self.pending.remove(&reply.request_id).is_some() {
                             self.replies.push(ClientReply {

@@ -1,10 +1,13 @@
 //! The transport-agnostic gateway engine: the paper's §3 state machine
 //! with every transport concern factored out.
 //!
-//! The engine is a pure function of the byte streams fed into it. It
-//! parses IIOP from client connections, maps object keys to server
-//! groups, assigns §3.2 per-server-group client identifiers, wraps
-//! requests in the Fig. 4 header, suppresses duplicate responses (with
+//! The engine is a pure function of the inputs fed into it. It takes
+//! each client message as one complete wire frame
+//! ([`GatewayEngine::on_client_frame`] — the host frames the byte
+//! stream), maps object keys to server groups, assigns §3.2
+//! per-server-group client identifiers, wraps the client's request
+//! bytes — verbatim, the gateway encapsulates rather than re-marshals —
+//! in the Fig. 4 header, suppresses duplicate responses (with
 //! majority voting for active-with-voting groups), caches replies for
 //! §3.5 failover reissues, coordinates with redundant peer gateways over
 //! the gateway group, and bridges foreign-domain requests toward peer
@@ -29,7 +32,7 @@ use crate::gwmsg::GwMsg;
 use ftd_eternal::DomainMsg;
 use ftd_eternal::{FtHeader, OperationId, OperationKind, ResponseFilter, Voter};
 use ftd_giop::{
-    ByteOrder, Frame, GiopMessage, MessageReader, MsgType, ObjectKey, Reply, Request, RequestView,
+    ByteOrder, Frame, FrameBuf, GiopMessage, MsgType, ObjectKey, Reply, Request, RequestView,
     ServiceContext, DEFAULT_MAX_BODY_LEN, FT_CLIENT_ID_SERVICE_CONTEXT,
 };
 use ftd_obs::Clock;
@@ -380,72 +383,13 @@ impl EngineConfigBuilder {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ClientConn {
-    reader: MessageReader,
     /// Assigned on the first request (§3.2) or taken from the service
     /// context (§3.5).
     client_key: Option<u32>,
     /// Whether the peer announced itself graceful (CloseConnection seen).
     graceful_close: bool,
-}
-
-/// A client Request entering the admission path: decoded to an owned
-/// [`Request`] (sim hosts, little-endian clients, replayed messages) or
-/// borrowed in place from a transport read buffer alongside its raw
-/// big-endian wire bytes. The borrowed arm is the zero-copy hot path —
-/// the wire bytes ARE the canonical multicast payload, copied exactly
-/// once when they escape into the domain.
-enum ReqInput<'a> {
-    Owned(Request),
-    Borrowed {
-        req: RequestView<'a>,
-        /// The complete big-endian wire message (header + body).
-        wire: &'a [u8],
-    },
-}
-
-impl ReqInput<'_> {
-    fn request_id(&self) -> u32 {
-        match self {
-            ReqInput::Owned(r) => r.request_id,
-            ReqInput::Borrowed { req, .. } => req.request_id,
-        }
-    }
-
-    fn object_key(&self) -> &[u8] {
-        match self {
-            ReqInput::Owned(r) => &r.object_key,
-            ReqInput::Borrowed { req, .. } => req.object_key,
-        }
-    }
-
-    /// The first four bytes of the §3.5 client-id service context.
-    fn client_id_context(&self) -> Option<&[u8]> {
-        match self {
-            ReqInput::Owned(r) => r
-                .service_context(FT_CLIENT_ID_SERVICE_CONTEXT)
-                .and_then(|sc| sc.context_data.get(0..4)),
-            ReqInput::Borrowed { req, .. } => req
-                .service_context(FT_CLIENT_ID_SERVICE_CONTEXT)
-                .and_then(|d| d.get(0..4)),
-        }
-    }
-
-    fn into_owned(self) -> Request {
-        match self {
-            ReqInput::Owned(r) => r,
-            ReqInput::Borrowed { req, .. } => req.to_owned_request(),
-        }
-    }
-
-    /// The canonical big-endian IIOP bytes forwarded into the domain.
-    fn into_canonical_bytes(self) -> Vec<u8> {
-        match self {
-            ReqInput::Owned(r) => GiopMessage::Request(r).encode(ByteOrder::Big),
-            ReqInput::Borrowed { wire, .. } => wire.to_vec(),
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,7 +402,7 @@ enum LinkState {
 #[derive(Debug)]
 struct BridgeLink {
     state: LinkState,
-    reader: MessageReader,
+    reader: FrameBuf,
     /// Requests sent and not yet answered: forward id → origin.
     pending: BTreeMap<u32, BridgeOrigin>,
     /// Requests queued while (re)connecting.
@@ -469,7 +413,7 @@ impl BridgeLink {
     fn new(max_body: usize) -> Self {
         BridgeLink {
             state: LinkState::Down,
-            reader: MessageReader::with_max_body(max_body),
+            reader: FrameBuf::with_max_body(max_body),
             pending: BTreeMap::new(),
             queue: VecDeque::new(),
         }
@@ -805,25 +749,29 @@ impl GatewayEngine {
         if self.fenced {
             return vec![Action::CloseClient { conn }];
         }
-        self.conns.insert(
-            conn,
-            ClientConn {
-                reader: MessageReader::with_max_body(self.config.max_body),
-                client_key: None,
-                graceful_close: false,
-            },
-        );
+        self.conns.insert(conn, ClientConn::default());
         vec![Action::Count {
             counter: "gateway.clients_accepted",
         }]
     }
 
-    /// Bytes arrived from a client connection. Unknown connections are
-    /// ignored (the transport may race a close against late data).
-    pub fn on_bytes_from_client(
+    /// One complete client message, borrowed in place from the host's
+    /// read buffer — the single client-input entry point. Hosts frame
+    /// the byte stream themselves (a [`ftd_giop::FrameBuf`] per
+    /// connection) and report a framing failure through
+    /// [`GatewayEngine::on_client_protocol_error`].
+    ///
+    /// The gateway encapsulates, it does not re-marshal (§3.2): a
+    /// big-endian Request's fields are decoded as borrowed slices and
+    /// its wire bytes become the multicast payload verbatim, copied once
+    /// at the point of escape. A little-endian Request is re-encoded
+    /// big-endian once — replicas see one canonical byte order — and
+    /// re-enters as a frame. A connection the engine has not seen is
+    /// registered silently — the transport already counted its accept.
+    pub fn on_client_frame(
         &mut self,
         conn: GwConn,
-        bytes: &[u8],
+        frame: Frame<'_>,
         view: &dyn DomainView,
     ) -> Vec<Action> {
         let mut out = Vec::new();
@@ -834,63 +782,23 @@ impl GatewayEngine {
             out.push(Action::CloseClient { conn });
             return out;
         }
-        if let Some(state) = self.conns.get_mut(&conn) {
-            state.reader.push(bytes);
-        } else {
-            return out;
-        }
-        // The connection can disappear mid-batch (MessageError).
-        while let Some(state) = self.conns.get_mut(&conn) {
-            let msg = match state.reader.next() {
-                Ok(Some(m)) => m,
-                Ok(None) => break,
-                Err(_) => {
-                    out.push(Action::Count {
-                        counter: "gateway.protocol_errors",
-                    });
-                    out.push(Action::ToClient {
-                        conn,
-                        bytes: GiopMessage::MessageError.encode(ByteOrder::Big),
-                    });
-                    out.push(Action::CloseClient { conn });
-                    self.conns.remove(&conn);
-                    return out;
-                }
-            };
-            out.extend(self.on_client_message(conn, msg, view));
-        }
-        out
-    }
-
-    /// One already-framed client message. Hosts that parse GIOP on their
-    /// own threads (the sharded `ftd-net` server: readers frame, shards
-    /// process) dispatch messages straight here; byte-stream hosts go
-    /// through [`GatewayEngine::on_bytes_from_client`], which frames and
-    /// then calls this. A connection the engine has not seen is
-    /// registered silently — the transport already counted its accept.
-    pub fn on_client_message(
-        &mut self,
-        conn: GwConn,
-        msg: GiopMessage,
-        view: &dyn DomainView,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        if self.fenced {
-            self.conns.remove(&conn);
-            out.push(Action::CloseClient { conn });
-            return out;
-        }
-        let max_body = self.config.max_body;
-        self.conns.entry(conn).or_insert_with(|| ClientConn {
-            reader: MessageReader::with_max_body(max_body),
-            client_key: None,
-            graceful_close: false,
-        });
-        match msg {
-            GiopMessage::Request(req) => {
-                self.on_client_request(conn, req, view, &mut out);
+        self.conns.entry(conn).or_default();
+        if frame.msg_type() == MsgType::Request && frame.order() == ByteOrder::Big {
+            match frame.request() {
+                Ok(Some(req)) => self.on_client_request(conn, req, frame.wire(), view, &mut out),
+                _ => self.protocol_error(conn, &mut out),
             }
-            GiopMessage::LocateRequest { request_id, .. } => {
+            return out;
+        }
+        // Control messages have (nearly) empty bodies and a little-endian
+        // Request is re-encoded anyway: owned decode.
+        match frame.to_message() {
+            Ok(msg @ GiopMessage::Request(_)) => {
+                let canonical = msg.encode(ByteOrder::Big);
+                let frame = Frame::parse(&canonical).expect("encoded message reparses");
+                return self.on_client_frame(conn, frame, view);
+            }
+            Ok(GiopMessage::LocateRequest { request_id, .. }) => {
                 // The gateway *is* the object as far as clients know.
                 out.push(Action::ToClient {
                     conn,
@@ -901,99 +809,41 @@ impl GatewayEngine {
                     .encode(ByteOrder::Big),
                 });
             }
-            GiopMessage::CloseConnection => {
+            Ok(GiopMessage::CloseConnection) => {
                 if let Some(state) = self.conns.get_mut(&conn) {
                     state.graceful_close = true;
                 }
             }
-            GiopMessage::CancelRequest { .. } => {
+            Ok(GiopMessage::CancelRequest { .. }) => {
                 out.push(Action::Count {
                     counter: "gateway.cancels_ignored",
                 });
             }
-            GiopMessage::Reply(_) | GiopMessage::LocateReply { .. } => {
+            Ok(GiopMessage::Reply(_) | GiopMessage::LocateReply { .. }) => {
                 out.push(Action::Count {
                     counter: "gateway.unexpected_messages",
                 });
             }
-            GiopMessage::MessageError => {
+            Ok(GiopMessage::MessageError) => {
                 out.push(Action::CloseClient { conn });
                 self.conns.remove(&conn);
             }
-        }
-        out
-    }
-
-    fn on_client_request(
-        &mut self,
-        conn: GwConn,
-        req: Request,
-        view: &dyn DomainView,
-        out: &mut Vec<Action>,
-    ) {
-        self.on_client_request_input(conn, ReqInput::Owned(req), view, out);
-    }
-
-    /// One already-framed client message, borrowed in place from the
-    /// transport's read buffer — the zero-copy sibling of
-    /// [`GatewayEngine::on_client_message`]. Big-endian Requests take the
-    /// fast path: header fields are decoded as borrowed slices and the
-    /// raw wire bytes become the multicast payload with a single copy at
-    /// the point of escape (no decode-to-owned, no re-encode).
-    /// Little-endian Requests and control messages fall back to the
-    /// owned path, so both entries produce identical actions for any
-    /// valid stream.
-    pub fn on_client_frame(
-        &mut self,
-        conn: GwConn,
-        frame: Frame<'_>,
-        view: &dyn DomainView,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        if self.fenced {
-            self.conns.remove(&conn);
-            out.push(Action::CloseClient { conn });
-            return out;
-        }
-        if frame.msg_type() != MsgType::Request || frame.order() != ByteOrder::Big {
-            // Control messages have (nearly) empty bodies; little-endian
-            // requests need canonical re-encoding anyway. Owned decode.
-            return match frame.to_message() {
-                Ok(msg) => self.on_client_message(conn, msg, view),
-                Err(_) => {
-                    self.protocol_error(conn, &mut out);
-                    out
-                }
-            };
-        }
-        let max_body = self.config.max_body;
-        self.conns.entry(conn).or_insert_with(|| ClientConn {
-            reader: MessageReader::with_max_body(max_body),
-            client_key: None,
-            graceful_close: false,
-        });
-        match frame.request() {
-            Ok(Some(req)) => {
-                self.on_client_request_input(
-                    conn,
-                    ReqInput::Borrowed {
-                        req,
-                        wire: frame.wire(),
-                    },
-                    view,
-                    &mut out,
-                );
-            }
-            Ok(None) => unreachable!("msg_type checked above"),
             Err(_) => self.protocol_error(conn, &mut out),
         }
         out
     }
 
-    /// An unparseable message on `conn`: count it, send `MessageError`,
-    /// and drop the connection — what a real ORB does, and exactly what
-    /// [`GatewayEngine::on_bytes_from_client`] does when its internal
-    /// reader trips.
+    /// The host's framer tripped on `conn`'s byte stream (bad magic,
+    /// unknown message type, body over the cap): count it, send
+    /// `MessageError`, and drop the connection — what a real ORB does,
+    /// and what [`GatewayEngine::on_client_frame`] does itself for a
+    /// frame whose body does not decode.
+    pub fn on_client_protocol_error(&mut self, conn: GwConn) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.protocol_error(conn, &mut out);
+        out
+    }
+
     fn protocol_error(&mut self, conn: GwConn, out: &mut Vec<Action>) {
         out.push(Action::Count {
             counter: "gateway.protocol_errors",
@@ -1006,23 +856,26 @@ impl GatewayEngine {
         self.conns.remove(&conn);
     }
 
-    fn on_client_request_input(
+    /// Admits one big-endian Request: `wire` is the complete message
+    /// `req` was decoded from.
+    fn on_client_request(
         &mut self,
         conn: GwConn,
-        req: ReqInput<'_>,
+        req: RequestView<'_>,
+        wire: &[u8],
         view: &dyn DomainView,
         out: &mut Vec<Action>,
     ) {
         // §3.1: "by extracting the server's object key ... the gateway
         // identifies the target server".
-        let Ok(key) = ObjectKey::parse(req.object_key()) else {
+        let Ok(key) = ObjectKey::parse(req.object_key) else {
             out.push(Action::Count {
                 counter: "gateway.bad_object_keys",
             });
             out.push(Action::ToClient {
                 conn,
                 bytes: GiopMessage::Reply(Reply::system_exception(
-                    req.request_id(),
+                    req.request_id,
                     "OBJECT_NOT_EXIST",
                 ))
                 .encode(ByteOrder::Big),
@@ -1031,9 +884,9 @@ impl GatewayEngine {
         };
 
         if key.domain != self.config.domain {
-            // Bridging crosses domains and outlives this read buffer:
-            // take ownership (the one cold path that still copies).
-            self.bridge_forward(conn, key, req.into_owned(), out);
+            // Bridging rewrites the request (our id, our client id) and
+            // outlives this read buffer: the one path that decodes owned.
+            self.bridge_forward(conn, key, req.to_owned_request(), out);
             return;
         }
         let server = GroupId(key.group);
@@ -1041,7 +894,8 @@ impl GatewayEngine {
         // Client identification: the enhanced client's service context if
         // present (§3.5), else the per-server-group counter (§3.2).
         let supplied = req
-            .client_id_context()
+            .service_context(FT_CLIENT_ID_SERVICE_CONTEXT)
+            .and_then(|d| d.get(0..4))
             .map(|b| u32::from_be_bytes(b.try_into().expect("len 4")));
         let client_key = match supplied {
             Some(id) => {
@@ -1066,7 +920,7 @@ impl GatewayEngine {
             target: server,
             client: client_key,
             parent_ts: 0,
-            child_seq: req.request_id(),
+            child_seq: req.request_id,
         };
 
         // A reissue we already hold the answer to (failover to this
@@ -1088,7 +942,7 @@ impl GatewayEngine {
                 group: self.config.group,
                 payload: GwMsg::Record {
                     client: client_key,
-                    request_id: req.request_id(),
+                    request_id: req.request_id,
                     server,
                 }
                 .encode(),
@@ -1103,9 +957,9 @@ impl GatewayEngine {
             target: server,
             kind: OperationKind::Invocation,
             parent_ts: 0,
-            child_seq: req.request_id(),
+            child_seq: req.request_id,
         };
-        let iiop = req.into_canonical_bytes();
+        let iiop = wire.to_vec();
         self.stamp_admission(op);
         out.push(Action::Count {
             counter: "gateway.requests_forwarded",
@@ -1443,7 +1297,7 @@ impl GatewayEngine {
             return out;
         };
         link.state = LinkState::Down;
-        link.reader = MessageReader::with_max_body(self.config.max_body);
+        link.reader = FrameBuf::with_max_body(self.config.max_body);
         if link.pending.is_empty() {
             return out;
         }
@@ -1467,7 +1321,7 @@ impl GatewayEngine {
             };
             link.reader.push(bytes);
             let mut replies = Vec::new();
-            while let Ok(Some(msg)) = link.reader.next() {
+            while let Ok(Some(msg)) = link.reader.next_message() {
                 if let GiopMessage::Reply(reply) = msg {
                     if let Some(origin) = link.pending.remove(&reply.request_id) {
                         replies.push((origin, reply));
@@ -1639,6 +1493,11 @@ mod tests {
         GatewayEngine::new(EngineConfig::new(0, GroupId(100), index), BTreeMap::new())
     }
 
+    /// Feeds one complete wire message, as a framing host would.
+    fn feed(gw: &mut GatewayEngine, conn: GwConn, wire: &[u8]) -> Vec<Action> {
+        gw.on_client_frame(conn, Frame::parse(wire).expect("one frame"), &SoloView)
+    }
+
     #[test]
     fn client_keys_are_namespaced_per_gateway_and_counted_per_group() {
         let mut gw = engine(2);
@@ -1712,7 +1571,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        let actions = gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        let actions = feed(&mut gw, GwConn(1), &wire);
         // Persist + count + exactly one multicast to the server group; no
         // Record because a solo gateway has no peers.
         let multicasts: Vec<_> = actions
@@ -1746,7 +1605,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req.clone()).encode(ByteOrder::Big);
-        gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        feed(&mut gw, GwConn(1), &wire);
 
         // Fabricate the response the replicas would multicast back.
         let reply = GiopMessage::Reply(Reply::success(3, vec![9])).encode(ByteOrder::Big);
@@ -1772,7 +1631,7 @@ mod tests {
         assert!(!second.iter().any(|a| matches!(a, Action::ToClient { .. })));
         assert_eq!(gw.duplicates_suppressed(), 1);
         // A reissue of the same request is served from the cache.
-        let reissue = gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        let reissue = feed(&mut gw, GwConn(1), &wire);
         assert!(reissue
             .iter()
             .any(|a| matches!(a, Action::Count { counter } if *counter == "gateway.reissues_served_from_cache")));
@@ -1796,7 +1655,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        feed(&mut gw, GwConn(1), &wire);
 
         clock.advance(350);
         let reply = GiopMessage::Reply(Reply::success(3, vec![9])).encode(ByteOrder::Big);
@@ -1839,7 +1698,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        let actions = gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        let actions = feed(&mut gw, GwConn(1), &wire);
         assert!(!actions.iter().any(|a| matches!(a, Action::Latency { .. })));
     }
 
@@ -1855,7 +1714,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        let actions = gw.on_bytes_from_client(GwConn(4), &wire, &SoloView);
+        let actions = feed(&mut gw, GwConn(4), &wire);
         assert!(actions.iter().any(
             |a| matches!(a, Action::Count { counter } if *counter == "gateway.unroutable_domains")
         ));
@@ -1878,12 +1737,12 @@ mod tests {
             })
             .encode(ByteOrder::Big)
         };
-        let first = gw.on_bytes_from_client(GwConn(1), &mk(1), &SoloView);
+        let first = feed(&mut gw, GwConn(1), &mk(1));
         assert!(first
             .iter()
             .any(|a| matches!(a, Action::BridgeConnect { domain: 2 })));
         // Second request while connecting: queued, no second connect.
-        let second = gw.on_bytes_from_client(GwConn(1), &mk(2), &SoloView);
+        let second = feed(&mut gw, GwConn(1), &mk(2));
         assert!(!second
             .iter()
             .any(|a| matches!(a, Action::BridgeConnect { .. })));
@@ -1944,8 +1803,7 @@ mod tests {
 
         // The crashed peer's client fails over to B and reissues.
         gw.on_client_accepted(GwConn(9));
-        let reissue =
-            gw.on_bytes_from_client(GwConn(9), &enhanced_request(5, 0x5000_0001), &SoloView);
+        let reissue = feed(&mut gw, GwConn(9), &enhanced_request(5, 0x5000_0001));
         assert!(reissue.iter().any(|a| matches!(a, Action::Count { counter }
                 if *counter == "gateway.reissues_served_from_cache")));
         assert!(
@@ -1998,7 +1856,7 @@ mod tests {
         );
 
         gw.on_client_accepted(GwConn(3));
-        let reissue = gw.on_bytes_from_client(GwConn(3), &enhanced_request(6, client), &SoloView);
+        let reissue = feed(&mut gw, GwConn(3), &enhanced_request(6, client));
         assert!(
             reissue
                 .iter()
@@ -2045,7 +1903,7 @@ mod tests {
                 if *counter == "gateway.duplicate_responses_suppressed")));
 
         gw.on_client_accepted(GwConn(3));
-        let reissue = gw.on_bytes_from_client(GwConn(3), &enhanced_request(7, client), &SoloView);
+        let reissue = feed(&mut gw, GwConn(3), &enhanced_request(7, client));
         assert!(reissue
             .iter()
             .any(|a| matches!(a, Action::ToClient { bytes, .. } if *bytes == relayed)));
@@ -2065,7 +1923,7 @@ mod tests {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        feed(&mut gw, GwConn(1), &wire);
 
         let reply = GiopMessage::Reply(Reply::success(3, vec![9])).encode(ByteOrder::Big);
         let header = FtHeader {
@@ -2110,10 +1968,10 @@ mod tests {
             operation: "get".into(),
             ..Request::default()
         };
-        plain.on_bytes_from_client(
+        feed(
+            &mut plain,
             GwConn(1),
             &GiopMessage::Request(req).encode(ByteOrder::Big),
-            &SoloView,
         );
         let actions = plain.on_delivery_from_domain(GroupId(100), &payload, &SoloView);
         assert!(!actions
@@ -2134,7 +1992,7 @@ mod tests {
     fn drive_fingerprinted_response(gw: &mut GatewayEngine, request_id: u32) -> (u64, u32, u64) {
         let client = 0x5000_0009;
         gw.on_client_accepted(GwConn(1));
-        gw.on_bytes_from_client(GwConn(1), &enhanced_request(request_id, client), &SoloView);
+        feed(gw, GwConn(1), &enhanced_request(request_id, client));
         let reply =
             GiopMessage::Reply(Reply::success(request_id, vec![7, 7, 7])).encode(ByteOrder::Big);
         let header = FtHeader {
@@ -2213,7 +2071,11 @@ mod tests {
         assert!(gw.is_fenced());
 
         // Fenced: client work is shed on contact.
-        let shed = gw.on_bytes_from_client(GwConn(1), &[1, 2, 3], &SoloView);
+        let shed = feed(
+            &mut gw,
+            GwConn(1),
+            &GiopMessage::CloseConnection.encode(ByteOrder::Big),
+        );
         assert_eq!(shed, vec![Action::CloseClient { conn: GwConn(1) }]);
         let accept = gw.on_client_accepted(GwConn(9));
         assert_eq!(accept, vec![Action::CloseClient { conn: GwConn(9) }]);
@@ -2256,7 +2118,7 @@ mod tests {
     fn a_losing_local_response_still_extends_the_fingerprint_chain() {
         let mut gw = relay_engine(1);
         gw.on_client_accepted(GwConn(1));
-        gw.on_bytes_from_client(GwConn(1), &enhanced_request(1, 0x5000_0009), &SoloView);
+        feed(&mut gw, GwConn(1), &enhanced_request(1, 0x5000_0009));
         // The owner's relay wins the delivery race (seq 0: no check)...
         gw.on_delivery_from_domain(GroupId(100), &peer_reply(2, 1, (0, 0, 0)), &SoloView);
         // ...but the local domain response must still be fingerprinted,

@@ -7,14 +7,16 @@
 //! response caching, Fig. 1 wide-area bridging — lives in the engine
 //! (`crate::engine`). This adapter only translates between the engine's
 //! [`Action`]s and the deterministic world's primitives: simulated TCP
-//! streams, the in-process Totem node, the stats sink, and the
-//! cold-passive stable-counter store. `ftd-net` hosts the very same
-//! engine over real sockets.
+//! streams (framed through one [`FrameBuf`] per client connection,
+//! exactly as `ftd-net`'s reactor frames real sockets), the in-process
+//! Totem node, the stats sink, and the cold-passive stable-counter
+//! store. `ftd-net` hosts the very same engine over real sockets.
 
 use crate::engine::{
     Action, DomainView, EngineConfig, GatewayEngine, GwConn, ENGINE_LATENCY_SERIES,
 };
 use ftd_eternal::{DaemonExtension, Mechanisms};
+use ftd_giop::{Frame, FrameBuf};
 use ftd_obs::ManualClock;
 use ftd_sim::{ConnId, Context, NetAddr, ProcessorId, TcpEvent};
 use ftd_totem::{GroupId, GroupMessage, MembershipView, TotemNode};
@@ -134,6 +136,8 @@ impl DomainView for SimView<'_> {
 pub struct Gateway {
     config: GatewayConfig,
     engine: GatewayEngine,
+    /// Client connections: simulated connection → its frame buffer.
+    client_bufs: BTreeMap<ConnId, FrameBuf>,
     /// Bridge links: simulated connection → peer domain.
     bridge_conns: BTreeMap<ConnId, u32>,
     membership: Vec<ProcessorId>,
@@ -157,6 +161,7 @@ impl Gateway {
         Gateway {
             config,
             engine,
+            client_bufs: BTreeMap::new(),
             bridge_conns: BTreeMap::new(),
             membership: Vec::new(),
             clock,
@@ -258,6 +263,37 @@ impl Gateway {
     }
 }
 
+/// Frames `bytes` through a client connection's buffer and feeds the
+/// engine one frame at a time. Returns the actions and whether the
+/// connection survives: once the engine closes it (`MessageError`, a
+/// protocol error, fencing) the rest of the batch dies with it rather
+/// than re-registering the connection through a later frame.
+fn feed_client(
+    engine: &mut GatewayEngine,
+    fbuf: &mut FrameBuf,
+    conn: GwConn,
+    bytes: &[u8],
+    view: &dyn DomainView,
+) -> (Vec<Action>, bool) {
+    let mut out = Vec::new();
+    fbuf.push(bytes);
+    loop {
+        let step = match fbuf.next_span() {
+            Ok(Some(span)) => match Frame::parse(&fbuf.bytes()[span]) {
+                Ok(frame) => engine.on_client_frame(conn, frame, view),
+                Err(_) => engine.on_client_protocol_error(conn),
+            },
+            Ok(None) => return (out, true),
+            Err(_) => engine.on_client_protocol_error(conn),
+        };
+        let closed = step.contains(&Action::CloseClient { conn });
+        out.extend(step);
+        if closed {
+            return (out, false);
+        }
+    }
+}
+
 impl DaemonExtension for Gateway {
     fn on_start(&mut self, ctx: &mut Context<'_>, totem: &mut TotemNode, _mech: &mut Mechanisms) {
         ctx.tcp_listen(self.config.port)
@@ -305,25 +341,37 @@ impl DaemonExtension for Gateway {
     ) {
         self.clock.set(ctx.now().as_micros());
         let actions = match ev {
-            TcpEvent::Accepted { conn, .. } => self.engine.on_client_accepted(GwConn(conn.0)),
+            TcpEvent::Accepted { conn, .. } => {
+                self.client_bufs.insert(conn, FrameBuf::new());
+                self.engine.on_client_accepted(GwConn(conn.0))
+            }
             TcpEvent::Data { conn, bytes } => {
                 if let Some(&domain) = self.bridge_conns.get(&conn) {
                     self.engine.on_bridge_data(domain, &bytes)
-                } else {
+                } else if let Some(fbuf) = self.client_bufs.get_mut(&conn) {
                     let view = SimView {
                         totem,
                         mech: None,
                         membership: &self.membership,
                         group: self.config.group,
                     };
-                    self.engine
-                        .on_bytes_from_client(GwConn(conn.0), &bytes, &view)
+                    let (actions, alive) =
+                        feed_client(&mut self.engine, fbuf, GwConn(conn.0), &bytes, &view);
+                    if !alive {
+                        self.client_bufs.remove(&conn);
+                    }
+                    actions
+                } else {
+                    // Unknown connection: the transport may race a close
+                    // against late data.
+                    Vec::new()
                 }
             }
             TcpEvent::Closed { conn } => {
                 if let Some(domain) = self.bridge_conns.remove(&conn) {
                     self.engine.on_bridge_broken(domain)
                 } else {
+                    self.client_bufs.remove(&conn);
                     self.engine.on_client_closed(GwConn(conn.0))
                 }
             }

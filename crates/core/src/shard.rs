@@ -9,7 +9,7 @@
 //! group, so they never share mutable state.
 //!
 //! The piece that *is* shared — the group→shard routing table — is read
-//! on every message by every reader thread, so [`ShardRouter`] is
+//! on every frame by every shard thread, so [`ShardRouter`] is
 //! lock-free: a fixed open-addressed table of `AtomicU64` slots, each
 //! packing `(group, shard + 1)`. Readers probe with `Acquire` loads;
 //! pinning CASes a slot in place. Groups that were never pinned fall back
@@ -25,7 +25,7 @@ use crate::engine::{Action, DomainView, EngineConfig, GatewayEngine, GwConn};
 use crate::error::{Error, ShardError};
 use crate::gwmsg::GwMsg;
 use ftd_eternal::{DomainMsg, OperationId, OperationKind};
-use ftd_giop::{GiopMessage, ObjectKey};
+use ftd_giop::{Frame, GiopError, GiopMessage, MsgType, ObjectKey};
 use ftd_totem::GroupId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,7 +51,7 @@ pub fn shard_of(group: GroupId, shards: usize) -> usize {
 
 /// The lock-free group→shard routing table. See the module docs.
 ///
-/// Shared between every reader thread and the shard threads behind one
+/// Shared between the shard threads (and the domain thread) behind one
 /// gateway; all operations are atomic loads and CASes — no locks, no
 /// allocation after construction.
 #[derive(Debug)]
@@ -171,25 +171,34 @@ pub enum MsgRoute {
     All,
 }
 
-/// Classifies a client message for shard dispatch. Requests (including
-/// foreign-domain bridge requests) route by the object key's group;
-/// connection-lifecycle messages fan to every shard (each shard tracks
-/// the connections it serves); everything else is stateless.
-pub fn classify_client_message(msg: &GiopMessage) -> MsgRoute {
-    match msg {
-        GiopMessage::Request(req) => match ObjectKey::parse(&req.object_key) {
-            Ok(key) => MsgRoute::Group(GroupId(key.group)),
-            Err(_) => MsgRoute::Any, // drawn a bad-key exception reply
+/// Classifies a client frame for shard dispatch — the one classifier
+/// the threaded `ftd-net` shards and [`ShardedEngine`] both call.
+/// Requests (including foreign-domain bridge requests) route by the
+/// object key's group, read in place; connection-lifecycle messages fan
+/// to every shard (each shard tracks the connections it serves);
+/// everything else is stateless.
+///
+/// # Errors
+///
+/// Returns the [`GiopError`] of a Request or LocateRequest whose body
+/// does not decode — a protocol error on that connection.
+pub fn classify_client_frame(frame: &Frame<'_>) -> Result<MsgRoute, GiopError> {
+    let by_key = |key: &[u8]| match ObjectKey::parse(key) {
+        Ok(key) => MsgRoute::Group(GroupId(key.group)),
+        Err(_) => MsgRoute::Any, // draws a bad-key exception reply
+    };
+    Ok(match frame.msg_type() {
+        MsgType::Request => match frame.request()? {
+            Some(req) => by_key(req.object_key),
+            None => MsgRoute::Any,
         },
-        GiopMessage::LocateRequest { object_key, .. } => match ObjectKey::parse(object_key) {
-            Ok(key) => MsgRoute::Group(GroupId(key.group)),
-            Err(_) => MsgRoute::Any,
+        MsgType::LocateRequest => match frame.to_message()? {
+            GiopMessage::LocateRequest { object_key, .. } => by_key(&object_key),
+            _ => MsgRoute::Any,
         },
-        GiopMessage::CloseConnection | GiopMessage::MessageError => MsgRoute::All,
-        GiopMessage::CancelRequest { .. }
-        | GiopMessage::Reply(_)
-        | GiopMessage::LocateReply { .. } => MsgRoute::Any,
-    }
+        MsgType::CloseConnection | MsgType::MessageError => MsgRoute::All,
+        MsgType::CancelRequest | MsgType::Reply | MsgType::LocateReply => MsgRoute::Any,
+    })
 }
 
 /// Where one totally-ordered delivery from the domain must be processed.
@@ -322,26 +331,28 @@ impl ShardedEngine {
         out
     }
 
-    /// Routes one parsed client message to the shard(s) that own its
-    /// state, exactly as the threaded host dispatches across queues.
-    pub fn on_client_message(
+    /// Routes one client frame to the shard(s) that own its state,
+    /// exactly as the threaded host dispatches across queues. A frame
+    /// the classifier cannot decode goes to shard 0, whose engine
+    /// answers the protocol error.
+    pub fn on_client_frame(
         &mut self,
         conn: GwConn,
-        msg: GiopMessage,
+        frame: Frame<'_>,
         view: &dyn DomainView,
     ) -> Vec<Action> {
-        match classify_client_message(&msg) {
+        match classify_client_frame(&frame).unwrap_or(MsgRoute::Any) {
             MsgRoute::Group(group) => {
                 let i = self.router.route(group);
-                self.shards[i].engine.on_client_message(conn, msg, view)
+                self.shards[i].engine.on_client_frame(conn, frame, view)
             }
-            MsgRoute::Any => self.shards[0].engine.on_client_message(conn, msg, view),
+            MsgRoute::Any => self.shards[0].engine.on_client_frame(conn, frame, view),
             MsgRoute::All => {
                 let mut out = Vec::new();
                 for shard in &mut self.shards {
                     out.extend(dedupe_fanout(
                         shard.index,
-                        shard.engine.on_client_message(conn, msg.clone(), view),
+                        shard.engine.on_client_frame(conn, frame, view),
                     ));
                 }
                 out
@@ -446,7 +457,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::engine::SoloView;
-    use ftd_giop::Request;
+    use ftd_giop::{ByteOrder, Request};
 
     #[test]
     fn zero_shards_is_an_error_and_one_shard_routes_everything_to_zero() {
@@ -504,7 +515,7 @@ mod tests {
         let _ = r.route(GroupId(99));
     }
 
-    fn request_for(group: u32, id: u32) -> GiopMessage {
+    fn request_for(group: u32, id: u32) -> Vec<u8> {
         GiopMessage::Request(Request {
             request_id: id,
             response_expected: true,
@@ -512,21 +523,28 @@ mod tests {
             operation: "get".into(),
             ..Request::default()
         })
+        .encode(ByteOrder::Big)
+    }
+
+    fn route_of(wire: &[u8]) -> MsgRoute {
+        classify_client_frame(&Frame::parse(wire).unwrap()).unwrap()
     }
 
     #[test]
     fn requests_route_by_group_and_close_fans_out() {
+        assert_eq!(route_of(&request_for(7, 1)), MsgRoute::Group(GroupId(7)));
+        let control = |m: GiopMessage| route_of(&m.encode(ByteOrder::Little));
+        assert_eq!(control(GiopMessage::CloseConnection), MsgRoute::All);
         assert_eq!(
-            classify_client_message(&request_for(7, 1)),
-            MsgRoute::Group(GroupId(7))
-        );
-        assert_eq!(
-            classify_client_message(&GiopMessage::CloseConnection),
-            MsgRoute::All
-        );
-        assert_eq!(
-            classify_client_message(&GiopMessage::CancelRequest { request_id: 1 }),
+            control(GiopMessage::CancelRequest { request_id: 1 }),
             MsgRoute::Any
+        );
+        assert_eq!(
+            control(GiopMessage::LocateRequest {
+                request_id: 1,
+                object_key: ObjectKey::new(0, 9).to_bytes(),
+            }),
+            MsgRoute::Group(GroupId(9))
         );
     }
 
@@ -542,7 +560,7 @@ mod tests {
             let conn = GwConn(i as u64 + 1);
             sharded.on_client_accepted(conn);
             let wire = request_for(g.0, (i + 1) as u32);
-            let actions = sharded.on_client_message(conn, wire, &SoloView);
+            let actions = sharded.on_client_frame(conn, Frame::parse(&wire).unwrap(), &SoloView);
             assert!(
                 actions
                     .iter()

@@ -9,7 +9,7 @@
 
 use ftd_core::{Action, EngineConfig, GatewayEngine, GwConn, SoloView, ENGINE_COUNTERS};
 use ftd_eternal::{DomainMsg, FtHeader, OperationKind};
-use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Reply, Request};
+use ftd_giop::{ByteOrder, Frame, GiopMessage, ObjectKey, Reply, Request};
 use ftd_totem::GroupId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -87,7 +87,7 @@ fn tiny_response_cache_emits_eviction_counts() {
             ..Request::default()
         };
         let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
-        gw.on_bytes_from_client(GwConn(1), &wire, &SoloView);
+        gw.on_client_frame(GwConn(1), Frame::parse(&wire).unwrap(), &SoloView);
 
         let reply = GiopMessage::Reply(Reply::success(request_id, vec![request_id as u8]))
             .encode(ByteOrder::Big);

@@ -3,7 +3,7 @@
 
 use ftd_core::*;
 use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
-use ftd_giop::{ByteOrder, GiopMessage, MessageReader, Reply, Request};
+use ftd_giop::{ByteOrder, FrameBuf, GiopMessage, Reply, Request};
 use ftd_sim::*;
 use ftd_totem::GroupId;
 
@@ -84,9 +84,12 @@ fn garbage_bytes_get_message_error_and_close() {
     let p = world.actor::<RawProber>(prober).unwrap();
     assert!(p.closed, "gateway must drop a non-GIOP peer");
     // The goodbye is a well-formed GIOP MessageError.
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&p.received);
-    assert_eq!(reader.next().unwrap(), Some(GiopMessage::MessageError));
+    assert_eq!(
+        reader.next_message().unwrap(),
+        Some(GiopMessage::MessageError)
+    );
     assert_eq!(world.stats().counter("gateway.protocol_errors"), 1);
     // The domain is unaffected.
     assert!(handle.is_operational(&world));
@@ -109,9 +112,9 @@ fn bad_object_key_yields_system_exception() {
     );
     world.run_for(SimDuration::from_millis(20));
     let p = world.actor::<RawProber>(prober).unwrap();
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&p.received);
-    match reader.next().unwrap() {
+    match reader.next_message().unwrap() {
         Some(GiopMessage::Reply(Reply {
             request_id: 9,
             reply_status: ftd_giop::ReplyStatus::SystemException,
@@ -133,10 +136,10 @@ fn locate_request_is_answered_object_here() {
     let prober = probe(&mut world, &handle, vec![wire]);
     world.run_for(SimDuration::from_millis(20));
     let p = world.actor::<RawProber>(prober).unwrap();
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&p.received);
     assert_eq!(
-        reader.next().unwrap(),
+        reader.next_message().unwrap(),
         Some(GiopMessage::LocateReply {
             request_id: 4,
             locate_status: 1,
@@ -161,9 +164,9 @@ fn one_byte_trickle_still_parses() {
     let prober = probe(&mut world, &handle, chunks);
     world.run_for(SimDuration::from_millis(40));
     let p = world.actor::<RawProber>(prober).unwrap();
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&p.received);
-    match reader.next().unwrap() {
+    match reader.next_message().unwrap() {
         Some(GiopMessage::Reply(r)) => {
             assert_eq!(r.request_id, 1);
             assert_eq!(r.body, 3u64.to_be_bytes());

@@ -4,8 +4,9 @@
 //! how many pins land concurrently, and the §3.2 per-group client-key
 //! counters must stay dense `1..=k` when `k` plain clients arrive.
 
-use ftd_core::{shard_of, Action, EngineConfig, ShardRouter, ShardedEngine, SoloView};
-use ftd_giop::{GiopMessage, ObjectKey, Request};
+use ftd_core::{shard_of, Action, EngineConfig, GwConn, ShardRouter, ShardedEngine, SoloView};
+use ftd_eternal::DomainMsg;
+use ftd_giop::{ByteOrder, Frame, GiopMessage, ObjectKey, Request};
 use ftd_totem::GroupId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,10 +117,24 @@ fn request_for(conn_tag: u32, group: u32) -> GiopMessage {
     })
 }
 
+/// Feeds one message through the sharded engine as the wire frame a
+/// client speaking `order` would send.
+fn feed(
+    sharded: &mut ShardedEngine,
+    conn: GwConn,
+    msg: &GiopMessage,
+    order: ByteOrder,
+) -> Vec<Action> {
+    let wire = msg.encode(order);
+    sharded.on_client_frame(conn, Frame::parse(&wire).expect("one frame"), &SoloView)
+}
+
 /// `k` plain clients per group, interleaved across groups in accept
-/// order: the owning shard's §3.2 counter must read exactly `k` for each
-/// group (keys assigned densely `1..=k`, no gaps, no duplicates) and
-/// every non-owning shard must still read 0.
+/// order and alternating byte order: the owning shard's §3.2 counter
+/// must read exactly `k` for each group (keys assigned densely `1..=k`,
+/// no gaps, no duplicates), every non-owning shard must still read 0,
+/// and whatever byte order the client spoke, the payload multicast into
+/// the domain carries the canonical big-endian request.
 #[test]
 fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
     let config = EngineConfig::new(0, GroupId(0x4000_0000), 0);
@@ -129,17 +144,31 @@ fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
 
     let mut conn = 0u64;
     for round in 1..=k {
+        let order = if round % 2 == 0 {
+            ByteOrder::Little
+        } else {
+            ByteOrder::Big
+        };
         for &g in &groups {
             conn += 1;
-            let conn = ftd_core::GwConn(conn);
+            let conn = GwConn(conn);
             sharded.on_client_accepted(conn);
-            let actions = sharded.on_client_message(conn, request_for(round, g.0), &SoloView);
-            assert!(
-                actions
-                    .iter()
-                    .any(|a| matches!(a, Action::Multicast { group, .. } if *group == g)),
-                "round {round} request for {g:?} forwarded"
-            );
+            let request = request_for(round, g.0);
+            let actions = feed(&mut sharded, conn, &request, order);
+            let forwarded: Vec<_> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Multicast { group, payload } if *group == g => Some(payload),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(forwarded.len(), 1, "round {round} request for {g:?}");
+            match DomainMsg::decode(forwarded[0]).expect("Fig. 4 payload") {
+                DomainMsg::Iiop { iiop, .. } => {
+                    assert_eq!(iiop, request.encode(ByteOrder::Big), "{order:?}")
+                }
+                other => panic!("expected an invocation, got {other:?}"),
+            }
         }
     }
 
@@ -154,4 +183,68 @@ fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
             }
         }
     }
+}
+
+/// Connection-lifecycle frames carry no object key, so they reach every
+/// shard: a `CloseConnection` marks the connection graceful wherever it
+/// holds a client key (each such shard then announces the client gone),
+/// and a `MessageError` drops it everywhere at once.
+#[test]
+fn connection_lifecycle_frames_fan_out_to_every_shard() {
+    let config = EngineConfig::new(0, GroupId(0x4000_0000), 0);
+    let mut sharded = ShardedEngine::new(config, SHARDS).unwrap();
+    // Two groups on two different shards.
+    let a = GroupId(5);
+    let b = (6..GROUPS)
+        .map(GroupId)
+        .find(|&g| sharded.route(g) != sharded.route(a))
+        .expect("some group hashes elsewhere");
+    let multicasts_to = |actions: &[Action], to: GroupId| {
+        actions
+            .iter()
+            .filter(|x| matches!(x, Action::Multicast { group, .. } if *group == to))
+            .count()
+    };
+
+    let graceful = GwConn(1);
+    sharded.on_client_accepted(graceful);
+    for (id, g) in [(1, a), (2, b)] {
+        feed(
+            &mut sharded,
+            graceful,
+            &request_for(id, g.0),
+            ByteOrder::Big,
+        );
+    }
+    let bye = feed(
+        &mut sharded,
+        graceful,
+        &GiopMessage::CloseConnection,
+        ByteOrder::Little,
+    );
+    assert!(bye.is_empty(), "CloseConnection only marks state: {bye:?}");
+    let closed = sharded.on_client_closed(graceful);
+    assert_eq!(
+        multicasts_to(&closed, GroupId(0x4000_0000)),
+        2,
+        "both shards holding a key for the client announce it gone: {closed:?}"
+    );
+
+    let broken = GwConn(2);
+    sharded.on_client_accepted(broken);
+    let dropped = feed(
+        &mut sharded,
+        broken,
+        &GiopMessage::MessageError,
+        ByteOrder::Big,
+    );
+    assert_eq!(
+        dropped,
+        vec![Action::CloseClient { conn: broken }; SHARDS],
+        "every shard drops the connection"
+    );
+    assert!(
+        sharded.on_client_closed(broken).is_empty(),
+        "no shard still knows the connection"
+    );
 }

@@ -1,13 +1,10 @@
-//! Zero-copy GIOP framing: parse headers in place, borrow bodies.
+//! GIOP framing: parse headers in place, borrow bodies.
 //!
-//! [`MessageReader`](crate::MessageReader) yields owned
-//! [`GiopMessage`](crate::GiopMessage)s — every request body is copied
-//! out of the stream buffer into fresh `Vec`s. That is fine for clients
-//! and the simulator, but the gateway's hot path handles tens of
-//! thousands of messages per second, and the engine ultimately needs
-//! the *canonical big-endian wire bytes* anyway (they are what gets
-//! multicast into the domain). This module provides the borrowed
-//! alternative:
+//! The gateway *encapsulates* a client's request (§3.2): the canonical
+//! big-endian wire bytes are what gets multicast into the domain, so
+//! the complete wire frame — not a decoded message — is what travels
+//! from the socket to the engine. This module is the one framer every
+//! byte-stream reader in the workspace uses:
 //!
 //! - [`FrameHeader::peek`] parses the fixed 12-byte header in place,
 //! - [`Frame`] is a validated view over one complete wire message,
@@ -15,7 +12,8 @@
 //!   slices (object key, operation, body) without copying, and
 //! - [`FrameBuf`] is a reusable per-connection accumulation buffer that
 //!   carves complete frames out of a TCP byte stream without
-//!   reallocating per message.
+//!   reallocating per message ([`FrameBuf::next_message`] is the owned
+//!   convenience for readers that want a decoded [`GiopMessage`]).
 //!
 //! Ownership rule: a [`Frame`] borrows from the connection's
 //! [`FrameBuf`] and is only valid until the next fill. Anything that
@@ -150,8 +148,8 @@ impl<'a> Frame<'a> {
     }
 
     /// Decodes the frame into an owned [`GiopMessage`] — the copying
-    /// fallback for paths that need ownership (cross-shard forwards,
-    /// little-endian canonicalisation).
+    /// fallback for paths that need the fields (control messages,
+    /// little-endian canonicalisation, reply readers).
     ///
     /// # Errors
     ///
@@ -205,8 +203,8 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// A GIOP Request decoded as borrowed slices — the zero-copy sibling of
-/// [`Request`]. Service contexts stay raw and are scanned on demand.
+/// A GIOP Request decoded as borrowed slices. Service contexts stay raw
+/// and are scanned on demand.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestView<'a> {
     order: ByteOrder,
@@ -280,12 +278,11 @@ pub const FRAME_BUF_READ_CHUNK: usize = 16 * 1024;
 /// A reusable per-connection receive buffer that carves complete GIOP
 /// frames out of a TCP byte stream without per-message allocation.
 ///
-/// Unlike [`MessageReader`](crate::MessageReader), which drains each
-/// decoded message out of its buffer, `FrameBuf` hands out *spans*:
-/// [`FrameBuf::next_span`] advances an internal cursor and returns the
-/// range of the next complete frame, which stays valid (borrowable via
-/// [`FrameBuf::bytes`]) until the next [`FrameBuf::spare`] /
-/// [`FrameBuf::push`] call compacts the buffer.
+/// `FrameBuf` hands out *spans* rather than draining its buffer per
+/// message: [`FrameBuf::next_span`] advances an internal cursor and
+/// returns the range of the next complete frame, which stays valid
+/// (borrowable via [`FrameBuf::bytes`]) until the next
+/// [`FrameBuf::spare`] / [`FrameBuf::push`] call compacts the buffer.
 ///
 /// # Examples
 ///
@@ -366,11 +363,16 @@ impl FrameBuf {
         self.end = (self.end + n).min(self.buf.len());
     }
 
-    /// Appends bytes by copy (test/sim convenience; the hot path reads
-    /// straight into [`FrameBuf::spare`]). Invalidates previous spans.
+    /// Appends bytes by copy — for readers that already hold the bytes
+    /// (clients, the simulator); the gateway's reactor reads straight
+    /// into [`FrameBuf::spare`]. Grows by what is pushed, not by a read
+    /// chunk, so a reader of small replies stays small. Invalidates
+    /// previous spans.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
-        self.advance(bytes.len());
+        self.compact();
+        self.buf.truncate(self.end);
+        self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
     }
 
     fn compact(&mut self) {
@@ -424,6 +426,23 @@ impl FrameBuf {
         let span = self.start..self.start + total;
         self.start += total;
         Ok(Some(span))
+    }
+
+    /// Decodes the next complete frame into an owned [`GiopMessage`] —
+    /// the convenience for readers that want the fields rather than the
+    /// wire bytes (clients reading replies, the bridge link). Returns
+    /// `Ok(None)` when no complete frame is buffered.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`FrameBuf::next_span`] rejects, plus any CDR problem
+    /// in the body; the frame is consumed either way and the stream
+    /// should be closed.
+    pub fn next_message(&mut self) -> Result<Option<GiopMessage>, GiopError> {
+        match self.next_span()? {
+            Some(span) => Frame::parse(&self.buf[span])?.to_message().map(Some),
+            None => Ok(None),
+        }
     }
 }
 
@@ -511,6 +530,27 @@ mod tests {
         }
         assert_eq!(seen, vec![m1, m2]);
         assert_eq!(fbuf.buffered(), 0);
+    }
+
+    #[test]
+    fn next_message_decodes_across_chunks_and_surfaces_garbage() {
+        let msgs = [
+            GiopMessage::Request(sample_request()),
+            GiopMessage::CloseConnection,
+        ];
+        let stream: Vec<u8> = msgs.iter().flat_map(|m| m.encode(ByteOrder::Big)).collect();
+        let mut fbuf = FrameBuf::new();
+        let mut seen = Vec::new();
+        for chunk in stream.chunks(7) {
+            fbuf.push(chunk);
+            while let Some(msg) = fbuf.next_message().unwrap() {
+                seen.push(msg);
+            }
+        }
+        assert_eq!(seen, msgs);
+        assert_eq!(fbuf.buffered(), 0);
+        fbuf.push(b"HTTP/1.1 200 OK\r\n");
+        assert!(fbuf.next_message().is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A from-scratch implementation of the CORBA wire formats the paper's
 //! gateway must speak on its TCP side: CDR marshalling ([`CdrEncoder`],
 //! [`CdrDecoder`]), GIOP 1.0 messages ([`GiopMessage`], [`Request`],
-//! [`Reply`]), byte-stream framing ([`MessageReader`]), and Interoperable
-//! Object References with multi-profile support ([`Ior`], [`IiopProfile`]).
+//! [`Reply`]), in-place byte-stream framing ([`FrameBuf`], [`Frame`]),
+//! and Interoperable Object References with multi-profile support
+//! ([`Ior`], [`IiopProfile`]).
 //!
 //! The paper's mechanisms that live at this layer:
 //!
@@ -31,11 +32,16 @@
 //! };
 //! let wire = GiopMessage::Request(req).encode(ByteOrder::Big);
 //!
-//! // ...and the gateway, receiving those bytes, recovers the target group.
-//! let msg = GiopMessage::decode(&wire)?;
-//! if let GiopMessage::Request(r) = msg {
-//!     assert_eq!(ObjectKey::parse(&r.object_key)?.group, 7);
-//! }
+//! // ...and the gateway, framing those bytes off the TCP stream, reads
+//! // the target group in place — the frame's wire bytes are what it
+//! // multicasts into the domain.
+//! let mut buf = FrameBuf::new();
+//! buf.push(&wire);
+//! let span = buf.next_span()?.expect("one complete frame");
+//! let frame = Frame::parse(&buf.bytes()[span])?;
+//! let req = frame.request()?.expect("a Request");
+//! assert_eq!(ObjectKey::parse(req.object_key)?.group, 7);
+//! assert_eq!(frame.wire(), &wire[..]);
 //! # Ok::<(), GiopError>(())
 //! ```
 
@@ -53,6 +59,6 @@ pub use error::GiopError;
 pub use frame::{Frame, FrameBuf, FrameHeader, RequestView, FRAME_BUF_READ_CHUNK};
 pub use ior::{IiopProfile, Ior, ObjectKey, TaggedProfile, TAG_INTERNET_IOP};
 pub use msg::{
-    GiopMessage, MessageReader, MsgType, Reply, ReplyStatus, Request, ServiceContext,
-    DEFAULT_MAX_BODY_LEN, FT_CLIENT_ID_SERVICE_CONTEXT, GIOP_HEADER_LEN, GIOP_VERSION,
+    GiopMessage, MsgType, Reply, ReplyStatus, Request, ServiceContext, DEFAULT_MAX_BODY_LEN,
+    FT_CLIENT_ID_SERVICE_CONTEXT, GIOP_HEADER_LEN, GIOP_VERSION,
 };

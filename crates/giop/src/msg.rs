@@ -390,99 +390,11 @@ fn split_header(bytes: &[u8]) -> Result<(crate::FrameHeader, &[u8]), GiopError> 
     }
 }
 
-/// Reassembles complete GIOP messages from a TCP byte stream.
-///
-/// TCP preserves ordering but not chunk boundaries; the reader buffers
-/// arriving bytes and yields each message once its declared length is
-/// fully present.
-///
-/// # Examples
-///
-/// ```
-/// use ftd_giop::{GiopMessage, MessageReader, ByteOrder};
-///
-/// let wire = GiopMessage::CloseConnection.encode(ByteOrder::Big);
-/// let mut reader = MessageReader::new();
-/// reader.push(&wire[..5]);            // partial chunk
-/// assert!(reader.next().unwrap().is_none());
-/// reader.push(&wire[5..]);
-/// let msg = reader.next().unwrap().unwrap();
-/// assert_eq!(msg, GiopMessage::CloseConnection);
-/// ```
-#[derive(Debug)]
-pub struct MessageReader {
-    buf: Vec<u8>,
-    max_body: usize,
-}
-
 /// Default cap on a single GIOP message's declared body length. A peer
 /// declaring more than this is corrupt or hostile (e.g. a 4 GiB length
 /// field that would make a naive reader buffer forever) and is rejected
 /// before any body bytes are awaited.
 pub const DEFAULT_MAX_BODY_LEN: usize = 16 * 1024 * 1024;
-
-impl Default for MessageReader {
-    fn default() -> Self {
-        MessageReader {
-            buf: Vec::new(),
-            max_body: DEFAULT_MAX_BODY_LEN,
-        }
-    }
-}
-
-impl MessageReader {
-    /// Creates an empty reader with the [`DEFAULT_MAX_BODY_LEN`] cap.
-    pub fn new() -> Self {
-        MessageReader::default()
-    }
-
-    /// Creates an empty reader with a custom body-length cap.
-    pub fn with_max_body(max_body: usize) -> Self {
-        MessageReader {
-            buf: Vec::new(),
-            max_body,
-        }
-    }
-
-    /// Appends freshly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Extracts the next complete message, if one is fully buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GiopError`] if the stream is unparseable (bad magic,
-    /// unknown type, CDR error); the stream should then be closed, as with
-    /// a real ORB sending `MessageError`.
-    #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
-    pub fn next(&mut self) -> Result<Option<GiopMessage>, GiopError> {
-        if self.buf.len() < GIOP_HEADER_LEN {
-            return Ok(None);
-        }
-        let (header, _) = split_header(&self.buf)?;
-        if header.body_len > self.max_body {
-            return Err(GiopError::LengthOverrun {
-                what: "GIOP message body",
-                declared: header.body_len,
-                available: self.max_body,
-            });
-        }
-        let total = GIOP_HEADER_LEN + header.body_len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let msg = GiopMessage::decode(&self.buf[..total])?;
-        self.buf.drain(..total);
-        Ok(Some(msg))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -568,36 +480,6 @@ mod tests {
             GiopMessage::decode(&wire[..wire.len() - 1]),
             Err(GiopError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn reader_reassembles_across_arbitrary_chunks() {
-        let m1 = GiopMessage::Request(sample_request()).encode(ByteOrder::Big);
-        let m2 = GiopMessage::Reply(Reply::success(1, vec![5])).encode(ByteOrder::Big);
-        let mut stream: Vec<u8> = Vec::new();
-        stream.extend(&m1);
-        stream.extend(&m2);
-
-        // Feed in 7-byte chunks.
-        let mut reader = MessageReader::new();
-        let mut seen = Vec::new();
-        for chunk in stream.chunks(7) {
-            reader.push(chunk);
-            while let Some(msg) = reader.next().unwrap() {
-                seen.push(msg);
-            }
-        }
-        assert_eq!(seen.len(), 2);
-        assert!(matches!(seen[0], GiopMessage::Request(_)));
-        assert!(matches!(seen[1], GiopMessage::Reply(_)));
-        assert_eq!(reader.buffered(), 0);
-    }
-
-    #[test]
-    fn reader_surfaces_garbage() {
-        let mut reader = MessageReader::new();
-        reader.push(b"HTTP/1.1 200 OK\r\n");
-        assert!(reader.next().is_err());
     }
 
     #[test]

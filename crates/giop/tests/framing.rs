@@ -1,9 +1,9 @@
-//! Incremental GIOP framing: `MessageReader` against every unkind way a
+//! Incremental GIOP framing: `FrameBuf` against every unkind way a
 //! TCP stream can slice, concatenate, truncate, or corrupt messages.
 
 use ftd_check::{check, Gen};
 use ftd_giop::{
-    ByteOrder, GiopError, GiopMessage, MessageReader, Reply, Request, ServiceContext,
+    ByteOrder, FrameBuf, GiopError, GiopMessage, Reply, Request, ServiceContext,
     DEFAULT_MAX_BODY_LEN, FT_CLIENT_ID_SERVICE_CONTEXT, GIOP_HEADER_LEN,
 };
 
@@ -40,11 +40,11 @@ fn one_byte_drip_reassembles_every_message() {
     let msgs = sample_messages();
     for order in [ByteOrder::Big, ByteOrder::Little] {
         let stream = wire(&msgs, order);
-        let mut reader = MessageReader::new();
+        let mut reader = FrameBuf::new();
         let mut out = Vec::new();
         for &b in &stream {
             reader.push(&[b]);
-            while let Some(msg) = reader.next().expect("valid stream") {
+            while let Some(msg) = reader.next_message().expect("valid stream") {
                 out.push(msg);
             }
         }
@@ -59,11 +59,11 @@ fn splits_straddling_the_header_boundary_are_harmless() {
     let stream = wire(&msgs, ByteOrder::Big);
     // Split at every offset around each 12-byte header edge.
     for split in (0..stream.len()).filter(|&i| i % GIOP_HEADER_LEN <= 2) {
-        let mut reader = MessageReader::new();
+        let mut reader = FrameBuf::new();
         let mut out = Vec::new();
         for chunk in [&stream[..split], &stream[split..]] {
             reader.push(chunk);
-            while let Some(msg) = reader.next().expect("valid stream") {
+            while let Some(msg) = reader.next_message().expect("valid stream") {
                 out.push(msg);
             }
         }
@@ -74,10 +74,10 @@ fn splits_straddling_the_header_boundary_are_harmless() {
 #[test]
 fn concatenated_messages_in_one_push_all_come_out() {
     let msgs = sample_messages();
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&wire(&msgs, ByteOrder::Big));
     let mut out = Vec::new();
-    while let Some(msg) = reader.next().expect("valid stream") {
+    while let Some(msg) = reader.next_message().expect("valid stream") {
         out.push(msg);
     }
     assert_eq!(out, msgs);
@@ -94,11 +94,11 @@ fn truncated_tail_stays_pending_not_an_error() {
     });
     let stream = msg.encode(ByteOrder::Big);
     for cut in 1..stream.len() {
-        let mut reader = MessageReader::new();
+        let mut reader = FrameBuf::new();
         reader.push(&stream[..cut]);
         // An incomplete message is "not yet", never "broken".
         assert_eq!(
-            reader.next().expect("pending, not error"),
+            reader.next_message().expect("pending, not error"),
             None,
             "cut {cut}"
         );
@@ -110,12 +110,12 @@ fn truncated_tail_stays_pending_not_an_error() {
 fn hostile_length_field_is_rejected_before_buffering_the_body() {
     // A header declaring a ~4 GiB body: reject instantly instead of
     // waiting for bytes that will never come.
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     let mut hostile = b"GIOP".to_vec();
     hostile.extend_from_slice(&[1, 0, 0, 5]); // version 1.0, big-endian, CloseConnection
     hostile.extend_from_slice(&0xFFFF_FFF0u32.to_be_bytes());
     reader.push(&hostile);
-    match reader.next() {
+    match reader.next_message() {
         Err(GiopError::LengthOverrun {
             declared,
             available,
@@ -132,12 +132,15 @@ fn hostile_length_field_is_rejected_before_buffering_the_body() {
 fn custom_cap_bounds_legitimate_messages_too() {
     let big = GiopMessage::Reply(Reply::success(1, vec![0xAB; 64]));
     let stream = big.encode(ByteOrder::Big);
-    let mut tight = MessageReader::with_max_body(16);
+    let mut tight = FrameBuf::with_max_body(16);
     tight.push(&stream);
-    assert!(matches!(tight.next(), Err(GiopError::LengthOverrun { .. })));
-    let mut roomy = MessageReader::with_max_body(1024);
+    assert!(matches!(
+        tight.next_message(),
+        Err(GiopError::LengthOverrun { .. })
+    ));
+    let mut roomy = FrameBuf::with_max_body(1024);
     roomy.push(&stream);
-    assert_eq!(roomy.next().expect("fits"), Some(big));
+    assert_eq!(roomy.next_message().expect("fits"), Some(big));
 }
 
 #[test]
@@ -150,14 +153,14 @@ fn random_chunking_never_loses_or_reorders_messages() {
             ByteOrder::Little
         };
         let stream = wire(&msgs, order);
-        let mut reader = MessageReader::new();
+        let mut reader = FrameBuf::new();
         let mut out = Vec::new();
         let mut off = 0;
         while off < stream.len() {
             let take = (g.range(1, 41) as usize).min(stream.len() - off);
             reader.push(&stream[off..off + take]);
             off += take;
-            while let Some(msg) = reader.next().expect("valid stream") {
+            while let Some(msg) = reader.next_message().expect("valid stream") {
                 out.push(msg);
             }
         }
@@ -170,8 +173,11 @@ fn garbage_after_a_valid_message_errors_without_corrupting_it() {
     let good = GiopMessage::Reply(Reply::success(8, vec![1]));
     let mut stream = good.encode(ByteOrder::Big);
     stream.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
-    let mut reader = MessageReader::new();
+    let mut reader = FrameBuf::new();
     reader.push(&stream);
-    assert_eq!(reader.next().expect("good first"), Some(good));
-    assert!(reader.next().is_err(), "trailing garbage must error");
+    assert_eq!(reader.next_message().expect("good first"), Some(good));
+    assert!(
+        reader.next_message().is_err(),
+        "trailing garbage must error"
+    );
 }

@@ -112,11 +112,11 @@ fn reader_reassembles_any_chunking() {
         for r in &reqs {
             stream.extend(GiopMessage::Request(r.clone()).encode(ByteOrder::Big));
         }
-        let mut reader = MessageReader::new();
+        let mut reader = FrameBuf::new();
         let mut seen = Vec::new();
         for c in stream.chunks(chunk) {
             reader.push(c);
-            while let Some(m) = reader.next().unwrap() {
+            while let Some(m) = reader.next_message().unwrap() {
                 seen.push(m);
             }
         }

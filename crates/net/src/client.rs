@@ -93,7 +93,7 @@
 
 use ftd_core::Error;
 use ftd_giop::{
-    ByteOrder, GiopMessage, Ior, MessageReader, Reply, Request, ServiceContext,
+    ByteOrder, FrameBuf, GiopMessage, Ior, Reply, Request, ServiceContext,
     FT_CLIENT_ID_SERVICE_CONTEXT,
 };
 use ftd_obs::{names, Registry};
@@ -267,7 +267,7 @@ impl NetClientBuilder {
             addrs,
             stream: None,
             connected_addr: None,
-            reader: MessageReader::new(),
+            reader: FrameBuf::new(),
             object_key,
             client_id: self.client_id,
             next_request: 0,
@@ -317,7 +317,7 @@ pub struct NetClient {
     /// The address the live (or last) connection dialed — switch
     /// detection for [`NetClient::profile_switches`].
     connected_addr: Option<SocketAddr>,
-    reader: MessageReader,
+    reader: FrameBuf,
     object_key: Vec<u8>,
     client_id: Option<u32>,
     next_request: u32,
@@ -412,7 +412,7 @@ impl NetClient {
                     self.stream = Some(stream);
                     // A dead connection's half-read frame must not
                     // corrupt the next one.
-                    self.reader = MessageReader::new();
+                    self.reader = FrameBuf::new();
                     if let Some(prev) = self.connected_addr {
                         if prev != addr {
                             self.profile_switches += 1;
@@ -462,7 +462,7 @@ impl NetClient {
         if let Some(stream) = self.stream.take() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        self.reader = MessageReader::new();
+        self.reader = FrameBuf::new();
     }
 
     fn stream(&mut self) -> io::Result<&mut TcpStream> {
@@ -577,7 +577,7 @@ impl NetClient {
             return Ok(reply);
         }
         loop {
-            while let Some(msg) = self.reader.next().map_err(Error::Giop)? {
+            while let Some(msg) = self.reader.next_message().map_err(Error::Giop)? {
                 match msg {
                     GiopMessage::Reply(reply) if reply.request_id == request_id => {
                         return Ok(reply)
@@ -615,7 +615,7 @@ impl NetClient {
         self.pending.clear();
         self.stream()?.set_read_timeout(Some(wait))?;
         loop {
-            while let Some(_msg) = self.reader.next().map_err(Error::Giop)? {
+            while let Some(_msg) = self.reader.next_message().map_err(Error::Giop)? {
                 extra += 1;
             }
             let mut buf = [0u8; 8 * 1024];
@@ -858,7 +858,7 @@ impl<'a> Pipeline<'a> {
     /// Processes every complete frame in the reader: replies matching an
     /// outstanding request complete it; anything else is stray.
     fn drain_frames(&mut self) -> ftd_core::Result<()> {
-        while let Some(msg) = self.client.reader.next().map_err(Error::Giop)? {
+        while let Some(msg) = self.client.reader.next_message().map_err(Error::Giop)? {
             match msg {
                 GiopMessage::Reply(reply) => {
                     if let Some(pos) = self.inflight.iter().position(|r| r.id == reply.request_id) {

@@ -8,10 +8,11 @@
 //! engine over `std::net` sockets:
 //!
 //! * [`GatewayServer`] — a listening gateway, built with
-//!   [`GatewayServer::builder`]: per-connection reader threads parse GIOP
-//!   frames and dispatch them through a lock-free group→shard routing
-//!   table to N engine shard threads, each owning its slice of the
-//!   engine state (see `server` module docs for the thread layout).
+//!   [`GatewayServer::builder`]: N engine shard threads, each a
+//!   `poll(2)` reactor over the connections it owns, frame GIOP in place
+//!   and dispatch each wire frame through a lock-free group→shard
+//!   routing table to the shard owning its slice of the engine state
+//!   (see `server` module docs for the thread layout).
 //! * [`GatewayPool`] — M gateways in front of one shared domain, with
 //!   deterministic client partitioning and per-client IORs advertising
 //!   the owning gateway.

@@ -125,17 +125,6 @@ impl GatewayPoolBuilder {
         self
     }
 
-    /// Per-shard admission window for every gateway (default
-    /// [`DEFAULT_MAX_INFLIGHT`]).
-    #[deprecated(
-        since = "0.5.0",
-        note = "use .admission(AdmissionPolicy::inflight_window(window)) — this delegating \
-                wrapper is kept for one release"
-    )]
-    pub fn max_inflight(self, window: usize) -> Self {
-        self.admission(AdmissionPolicy::inflight_window(window))
-    }
-
     /// Pins `group` to `shard` on **every** gateway (dense benchmark
     /// placement; pins override the hash — see
     /// [`crate::GatewayBuilder::pin_group`]).

@@ -15,19 +15,24 @@
 //!   duplicate-suppression filter, and §3.5 response cache — plus a
 //!   readiness **reactor** (`poll(2)` via [`crate::Poller`]) over the
 //!   connections it owns. Readable sockets are drained into reusable
-//!   per-connection [`FrameBuf`]s and parsed **in place**: a request
-//!   whose group routes to the owning shard runs through
-//!   [`GatewayEngine::on_client_frame`] on borrowed wire bytes (zero
-//!   copy — the raw big-endian frame *is* the canonical multicast
-//!   payload); anything bound for another shard is decoded once and
-//!   forwarded over the lock-free [`ShardRouter`]'s queue. Replies go
-//!   through shared nonblocking writers with partial-write queues:
-//!   a slow client backs its own connection up (and is disconnected
-//!   past a bounded queue), never a shard thread. Admission is
-//!   **credit-based** ([`AdmissionPolicy`]): per-tick request and byte
-//!   credits plus an in-flight window, replenished every tick with
-//!   batch admission of whatever waited — deferral is the exception,
-//!   not the steady state,
+//!   per-connection [`FrameBuf`]s and parsed **in place**. The complete
+//!   wire frame is the only form a client message takes between the
+//!   socket and the engine: a frame whose group routes to the owning
+//!   shard runs through [`GatewayEngine::on_client_frame`] on the
+//!   borrowed bytes when the admission gate is open (zero copy — the
+//!   raw big-endian frame *is* the multicast payload); a frame that
+//!   must outlive the read buffer — bound for another shard over the
+//!   lock-free [`ShardRouter`]'s queue, or waiting at a closed gate —
+//!   is copied once, as bytes, and re-parsed when its turn comes, so
+//!   what the domain receives never depends on how busy the gateway
+//!   was. Replies go through shared nonblocking writers with
+//!   partial-write queues: a slow client backs its own connection up
+//!   (and is disconnected past a bounded queue), never a shard thread.
+//!   Admission is **credit-based** ([`AdmissionPolicy`]): per-tick
+//!   request and byte credits plus an in-flight window, replenished
+//!   every tick with batch admission of whatever waited — a deferred
+//!   request is the same frame through the same engine entry point, a
+//!   tick later,
 //! * one **domain thread** ([`crate::DomainService`]) owns the in-process
 //!   [`DomainHost`], advances its virtual clock a slice per pump (once
 //!   per millisecond when idle, back to back while commands are queued),
@@ -48,11 +53,12 @@
 //! `GET /health` answers `503 degraded`, and new connections are shed at
 //! accept time (existing clients keep being served — with a partial ring
 //! the surviving replicas still answer). When the ring heals the gateway
-//! recovers by itself. Each connection carries a bounded cross-shard
-//! inbound budget and a bounded outbound queue, so one client flooding
-//! bytes faster than its shard drains them — or reading replies slower
-//! than it provokes them — is disconnected instead of growing a queue
-//! without limit.
+//! recovers by itself. Each connection carries a bounded inbound budget
+//! (every frame queued inside the gateway, on its own shard or another,
+//! is charged to it) and a bounded outbound queue, so one client
+//! flooding bytes faster than its shard admits them — or reading replies
+//! slower than it provokes them — is disconnected instead of growing a
+//! queue without limit.
 //!
 //! Every thread reports into one shared [`ftd_obs::Registry`]: the
 //! engines' `gateway.*` counters and per-group latency histogram, the
@@ -72,14 +78,12 @@ use crate::reactor::{raw_fd, Interest, Poller, Waker, MAX_POLL_TIMEOUT};
 use crate::relay::GroupRelay;
 use crate::store::GatewayStore;
 use ftd_core::{
-    classify_client_message, classify_delivery, Action, DeliveryRoute, EngineConfig, Error,
+    classify_client_frame, classify_delivery, Action, DeliveryRoute, EngineConfig, Error,
     GatewayEngine, GwConn, MsgRoute, ShardError, ShardRouter, ENGINE_LATENCY_SERIES,
     FANOUT_ONCE_COUNTERS,
 };
 use ftd_eternal::{GatewayEndpoint, IorPublisher, OperationId};
-use ftd_giop::{
-    ByteOrder, Frame, FrameBuf, GiopMessage, Ior, MsgType, ObjectKey, FRAME_BUF_READ_CHUNK,
-};
+use ftd_giop::{ByteOrder, Frame, FrameBuf, GiopMessage, Ior, MsgType, FRAME_BUF_READ_CHUNK};
 use ftd_group::{FrameHandler, GroupConfig, GroupMember, GroupNode, PeerMesh};
 use ftd_obs::{names, Clock, Counter, Histogram, RealClock, Registry};
 use ftd_replay::{EngineSetup, RecordedView, Recorder, RecordingClock, ReplayEvent, ShardTap};
@@ -96,11 +100,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Most bytes a single connection may have queued toward shards other
-/// than its owner (messages decoded and forwarded but not yet
-/// processed). A client that outruns the gateway by more than this is
-/// disconnected (`net.queue_overflows`) instead of growing the event
-/// queue without bound.
+/// Most bytes a single connection may have queued inside the gateway:
+/// frames waiting at its owning shard's admission gate plus frames
+/// forwarded to other shards and not yet processed. A client that
+/// outruns the gateway by more than this is disconnected
+/// (`net.queue_overflows`) instead of growing a queue without bound.
 pub const CONN_INBOUND_BUDGET: usize = 1 << 20;
 
 /// Most unsent reply bytes a connection's writer may queue while the
@@ -169,8 +173,8 @@ impl Default for AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// The pre-0.5 admission semantics: a pure in-flight window of
-    /// `window` with both credit dimensions disabled. What the
-    /// deprecated `max_inflight(..)` builder setters delegate to.
+    /// `window` with both credit dimensions disabled — at most `window`
+    /// requests in the domain at once per shard, the rest deferred FIFO.
     pub fn inflight_window(window: usize) -> Self {
         AdmissionPolicy {
             max_inflight: window.max(1),
@@ -281,8 +285,8 @@ pub struct ShutdownReport {
 /// shard threads) to a shard thread.
 pub(crate) enum ShardEv {
     /// A connection was accepted (fanned to every shard); the writer is
-    /// the shared nonblocking write half, the counter its cross-shard
-    /// inbound budget.
+    /// the shared nonblocking write half, the counter its inbound
+    /// budget ([`CONN_INBOUND_BUDGET`]).
     Accepted(u64, Arc<ConnWriter>, Arc<AtomicUsize>),
     /// The read half of an accepted connection, sent only to its owning
     /// shard (strictly after the `Accepted` fan-out): the shard
@@ -291,11 +295,11 @@ pub(crate) enum ShardEv {
     /// [`ConnWriter`] — reads and writes go through `&TcpStream`, so
     /// one descriptor serves both halves.
     Adopt(u64, Arc<TcpStream>),
-    /// A parsed GIOP message forwarded from the owning shard. The cost
-    /// is how many wire bytes the message consumed (charged to and
-    /// released from the connection's budget; 0 for fan-out copies and
-    /// messages the owner processed locally).
-    Msg(u64, GiopMessage, usize),
+    /// One complete, validated wire frame forwarded from the owning
+    /// shard — the one copy a frame takes when it must outlive the read
+    /// buffer. Its length was charged to the connection's budget and is
+    /// released when the frame is processed.
+    Msg(u64, Box<[u8]>),
     /// A connection reached EOF or errored (fanned to every shard).
     Closed(u64),
     /// An ordered delivery from the domain routed to this shard.
@@ -589,17 +593,6 @@ impl GatewayBuilder {
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
         self
-    }
-
-    /// Per-shard admission window: at most this many requests in the
-    /// domain at once per shard, the rest deferred FIFO.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use .admission(AdmissionPolicy::inflight_window(window)) — \
-                this delegating wrapper is kept for one release"
-    )]
-    pub fn max_inflight(self, window: usize) -> Self {
-        self.admission(AdmissionPolicy::inflight_window(window))
     }
 
     /// Pins `group`'s state to a specific shard in the lock-free routing
@@ -1530,10 +1523,10 @@ struct OwnedConn {
     fbuf: FrameBuf,
 }
 
-/// A message queued for admission: connection, decoded message, the
-/// cross-shard budget to release when processed (0 for locally read
-/// messages), and the wire length the byte credits are charged.
-type Queued = (u64, GiopMessage, usize, usize);
+/// A frame queued for admission: the connection and the complete wire
+/// frame, whose length is both the budget to release and the byte
+/// credits to charge when it is admitted.
+type Queued = (u64, Box<[u8]>);
 
 /// One engine shard's working state, owned by its thread.
 struct Shard {
@@ -1779,104 +1772,99 @@ impl Shard {
         }
     }
 
-    /// Dispatches one complete wire frame read off an owned connection.
-    /// Requests bound for this shard with an open admission gate run
-    /// zero-copy through [`GatewayEngine::on_client_frame`]; everything
-    /// else decodes once and queues or forwards. Returns `false` when
+    /// Dispatches one complete wire frame read off an owned connection:
+    /// classify it in place, forward a copy to whichever other shard
+    /// owns its state, and run what is bound for this shard through
+    /// [`Shard::process_frame`] — at once when the admission gate is
+    /// open, from the admission queue otherwise. Returns `false` when
     /// the connection must close (protocol violation or budget blown).
     fn on_wire_frame(&mut self, id: u64, wire: &[u8], arrivals: &mut VecDeque<Queued>) -> bool {
         let Ok(frame) = Frame::parse(wire) else {
             return self.protocol_close(id);
         };
-        if frame.msg_type() == MsgType::Request {
-            // Borrowed classification: the object key is read in place.
-            let route = match frame.request() {
-                Ok(Some(view)) => match ObjectKey::parse(view.object_key) {
-                    Ok(key) => MsgRoute::Group(GroupId(key.group)),
-                    Err(_) => MsgRoute::Any,
-                },
-                _ => return self.protocol_close(id),
-            };
-            let dest = match route {
-                MsgRoute::Group(group) => self.router.route(group),
-                _ => 0,
-            };
-            if dest != self.idx {
-                return match frame.to_message() {
-                    Ok(msg) => self.forward(id, dest, msg, wire.len()),
-                    Err(_) => self.protocol_close(id),
-                };
-            }
-            if self.deferred.is_empty() && arrivals.is_empty() && self.admit_ready() {
-                // The hot path: admit straight off the socket, engine
-                // fed the borrowed frame, raw wire bytes reused as the
-                // canonical multicast payload.
-                self.consume_credits(wire.len());
-                self.process_frame(id, frame);
-                return true;
-            }
-            // Gate closed (or FIFO fairness behind earlier waiters):
-            // the borrowed bytes cannot outlive this read, so the
-            // queued copy owns its decode.
-            return match frame.to_message() {
-                Ok(msg) => {
-                    arrivals.push_back((id, msg, 0, wire.len()));
-                    true
-                }
-                Err(_) => self.protocol_close(id),
-            };
-        }
-        // Control traffic (rare): decode owned and route exactly as the
-        // message classifier dictates.
-        let Ok(msg) = frame.to_message() else {
-            return self.protocol_close(id);
-        };
-        match classify_client_message(&msg) {
-            MsgRoute::Group(group) => {
-                let dest = self.router.route(group);
-                if dest == self.idx {
-                    self.process_msg(id, msg, 0);
-                    true
-                } else {
-                    self.forward(id, dest, msg, wire.len())
-                }
-            }
-            MsgRoute::Any => {
-                if self.idx == 0 {
-                    self.process_msg(id, msg, 0);
-                    true
-                } else {
-                    self.forward(id, 0, msg, wire.len())
-                }
-            }
-            MsgRoute::All => {
-                for (i, tx) in self.shard_txs.iter().enumerate() {
-                    if i != self.idx {
-                        let _ = tx.send(ShardEv::Msg(id, msg.clone(), 0));
+        let dest = match classify_client_frame(&frame) {
+            Ok(MsgRoute::Group(group)) => self.router.route(group),
+            Ok(MsgRoute::Any) => 0,
+            Ok(MsgRoute::All) => {
+                for dest in 0..self.shard_txs.len() {
+                    if dest != self.idx && !self.forward(id, dest, wire) {
+                        return false;
                     }
                 }
-                self.process_msg(id, msg, 0);
-                true
+                self.idx
             }
+            Err(_) => return self.protocol_close(id),
+        };
+        if dest != self.idx {
+            return self.forward(id, dest, wire);
         }
-    }
-
-    /// Forwards a decoded message to another shard, charging the
-    /// connection's cross-shard budget. A client outrunning the gateway
-    /// past the budget is disconnected, protecting every other client
-    /// from its backlog.
-    fn forward(&mut self, id: u64, dest: usize, msg: GiopMessage, cost: usize) -> bool {
-        if let Some(entry) = self.conns.get(&id) {
-            if entry.budget.fetch_add(cost, Ordering::SeqCst) + cost > CONN_INBOUND_BUDGET {
-                self.counter(names::NET_QUEUE_OVERFLOWS).inc();
-                if let Some(entry) = self.conns.get(&id) {
-                    entry.writer.close();
-                }
+        if frame.msg_type() != MsgType::Request {
+            self.process_frame(id, frame);
+            return true;
+        }
+        if self.must_queue(arrivals) {
+            // Gate closed (or FIFO fairness behind earlier waiters): the
+            // borrowed bytes cannot outlive this read, so the queue
+            // takes the one copy.
+            if !self.charge(id, wire.len()) {
                 return false;
             }
+            arrivals.push_back((id, wire.into()));
+            return true;
         }
-        let _ = self.shard_txs[dest].send(ShardEv::Msg(id, msg, cost));
+        self.consume_credits(wire.len());
+        self.process_frame(id, frame);
         true
+    }
+
+    /// Whether a Request must wait its turn: the admission gate is
+    /// closed, or earlier requests are already waiting (FIFO fairness).
+    fn must_queue(&self, arrivals: &VecDeque<Queued>) -> bool {
+        !(self.deferred.is_empty() && arrivals.is_empty() && self.admit_ready())
+    }
+
+    /// Charges `cost` queued bytes to the connection's inbound budget.
+    /// A client outrunning the gateway past [`CONN_INBOUND_BUDGET`] is
+    /// disconnected (`false`), protecting every other client from its
+    /// backlog.
+    fn charge(&mut self, id: u64, cost: usize) -> bool {
+        let Some(entry) = self.conns.get(&id) else {
+            return true;
+        };
+        if entry.budget.fetch_add(cost, Ordering::SeqCst) + cost <= CONN_INBOUND_BUDGET {
+            return true;
+        }
+        entry.writer.close();
+        self.counter(names::NET_QUEUE_OVERFLOWS).inc();
+        false
+    }
+
+    /// Forwards a copy of one wire frame to another shard, charged to
+    /// the connection's inbound budget.
+    fn forward(&mut self, id: u64, dest: usize, wire: &[u8]) -> bool {
+        if !self.charge(id, wire.len()) {
+            return false;
+        }
+        let _ = self.shard_txs[dest].send(ShardEv::Msg(id, wire.into()));
+        true
+    }
+
+    /// Admits one frame out of a queue (the cross-shard channel, this
+    /// tick's arrivals, or the deferral FIFO): releases its budget,
+    /// charges a Request's credits unless the shard is draining for
+    /// shutdown, and runs it through the engine.
+    fn admit_queued(&mut self, id: u64, wire: &[u8], charge_credits: bool) {
+        if let Some(entry) = self.conns.get(&id) {
+            entry.budget.fetch_sub(wire.len(), Ordering::SeqCst);
+        }
+        // Validated by the owning shard before it was queued.
+        let Ok(frame) = Frame::parse(wire) else {
+            return;
+        };
+        if charge_credits && frame.msg_type() == MsgType::Request {
+            self.consume_credits(wire.len());
+        }
+        self.process_frame(id, frame);
     }
 
     /// Answers a framing/protocol failure with MessageError and closes
@@ -1892,10 +1880,13 @@ impl Shard {
         false
     }
 
-    /// Runs one borrowed frame through the engine (recorded when a tap
-    /// is attached) — the zero-copy twin of [`Shard::process_msg`].
+    /// Runs one frame through the engine (recorded when a tap is
+    /// attached) and applies the resulting actions.
     fn process_frame(&mut self, id: u64, frame: Frame<'_>) {
         if !self.conns.contains_key(&id) {
+            // The connection closed while this frame sat queued (the
+            // Closed purge races the admission drain); never resurrect
+            // it through the engine's auto-registration.
             return;
         }
         let view = self.domain.view();
@@ -1959,37 +1950,6 @@ impl Shard {
                     .histogram(&format!("{ENGINE_LATENCY_SERIES}{{group=\"{group}\"}}"))
             })
             .clone()
-    }
-
-    fn process_msg(&mut self, id: u64, msg: GiopMessage, cost: usize) {
-        let Some(entry) = self.conns.get(&id) else {
-            // The connection closed while this message sat deferred (the
-            // Closed purge races the admission drain); never resurrect it
-            // through the engine's auto-registration.
-            return;
-        };
-        if cost > 0 {
-            entry.budget.fetch_sub(cost, Ordering::SeqCst);
-        }
-        let view = self.domain.view();
-        let actions = match self.tap.as_mut() {
-            Some(tap) => {
-                let rv = recorded_view(&view);
-                tap.on_message(&mut self.engine, GwConn(id), msg, &rv)
-            }
-            None => self.engine.on_client_message(GwConn(id), msg, &*view),
-        };
-        let forwarded = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Multicast { .. }))
-            .count();
-        if forwarded > 0 {
-            let now_us = self.clock.now_micros();
-            for _ in 0..forwarded {
-                self.pending_latency.push_back((id, now_us));
-            }
-        }
-        self.apply(actions);
     }
 
     fn apply(&mut self, actions: Vec<Action>) {
@@ -2220,30 +2180,22 @@ fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> S
                     shard.apply(actions);
                 }
                 ShardEv::Adopt(id, stream) => shard.adopt(id, stream),
-                ShardEv::Msg(id, msg, cost) => {
+                ShardEv::Msg(id, wire) => {
                     // Admission gate: requests past the window/credits
                     // (or behind earlier waiting ones — FIFO fairness)
                     // queue for the batch pass; everything else
-                    // processes immediately. The forwarding cost *is*
-                    // the wire length, so it doubles as the byte-credit
-                    // charge.
-                    let is_request = matches!(msg, GiopMessage::Request(_));
-                    let queue = is_request
-                        && (!shard.admit_ready()
-                            || !shard.deferred.is_empty()
-                            || !arrivals.is_empty());
-                    if queue {
-                        arrivals.push_back((id, msg, cost, cost));
+                    // processes immediately.
+                    let is_request =
+                        Frame::parse(&wire).is_ok_and(|f| f.msg_type() == MsgType::Request);
+                    if is_request && shard.must_queue(&arrivals) {
+                        arrivals.push_back((id, wire));
                     } else {
-                        if is_request {
-                            shard.consume_credits(cost);
-                        }
-                        shard.process_msg(id, msg, cost);
+                        shard.admit_queued(id, &wire, true);
                     }
                 }
                 ShardEv::Closed(id) => {
-                    shard.deferred.retain(|&(conn, _, _, _)| conn != id);
-                    arrivals.retain(|&(conn, _, _, _)| conn != id);
+                    shard.deferred.retain(|&(conn, _)| conn != id);
+                    arrivals.retain(|&(conn, _)| conn != id);
                     let actions = match shard.tap.as_mut() {
                         Some(tap) => tap.on_closed(&mut shard.engine, GwConn(id)),
                         None => shard.engine.on_client_closed(GwConn(id)),
@@ -2327,7 +2279,7 @@ fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> S
         // client bytes this shard will ever see.
         while (stop || shard.admit_ready()) && !(shard.deferred.is_empty() && arrivals.is_empty()) {
             let from_arrivals = shard.deferred.is_empty();
-            let (id, msg, cost, wire_len) = if from_arrivals {
+            let (id, wire) = if from_arrivals {
                 arrivals.pop_front().expect("non-empty arrivals")
             } else {
                 shard.deferred.pop_front().expect("non-empty deferred")
@@ -2335,10 +2287,7 @@ fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> S
             if from_arrivals {
                 shard.m_tick_admits.inc();
             }
-            if !stop && matches!(msg, GiopMessage::Request(_)) {
-                shard.consume_credits(wire_len);
-            }
-            shard.process_msg(id, msg, cost);
+            shard.admit_queued(id, &wire, !stop);
         }
         // What is still waiting missed the whole tick: only now does it
         // become a deferral, carried to the next tick's pass.

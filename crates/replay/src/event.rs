@@ -2,7 +2,7 @@
 //!
 //! Every nondeterministic input that crossed the gateway boundary during
 //! a recorded run becomes one [`ReplayEvent`]: connection accepts,
-//! parsed inbound GIOP messages (re-encoded canonically big-endian),
+//! inbound GIOP wire frames (the client's bytes, verbatim),
 //! ordered deliveries from the domain, engine clock reads, fault-plan
 //! events applied to the domain, and the recovery state a restarted
 //! incarnation was seeded from. Engine-driving events additionally carry
@@ -194,9 +194,9 @@ pub enum ReplayEvent {
         /// CRC32 of the actions the engine emitted.
         actions_crc: u32,
     },
-    /// A parsed inbound GIOP message reached the engine (post-framing,
-    /// post-admission — replay re-drives the engine, not the reader
-    /// threads). `bytes` is the canonical big-endian re-encoding.
+    /// One inbound GIOP frame reached the engine (post-framing,
+    /// post-admission — replay re-drives the engine, not the reactor).
+    /// `bytes` is the complete wire frame exactly as the client sent it.
     ClientMsg {
         /// The owning shard.
         shard: u32,
@@ -204,7 +204,7 @@ pub enum ReplayEvent {
         conn: u64,
         /// The domain view the engine consulted.
         view: RecordedView,
-        /// Canonical big-endian GIOP encoding of the message.
+        /// The complete GIOP wire frame (header + body).
         bytes: Vec<u8>,
         /// CRC32 of the actions the engine emitted.
         actions_crc: u32,

@@ -8,7 +8,7 @@
 //! than recovery:
 //!
 //! * [`Recorder`] — captures every nondeterministic input crossing the
-//!   gateway boundary (connection accepts, parsed inbound GIOP messages,
+//!   gateway boundary (connection accepts, inbound GIOP wire frames,
 //!   ordered ring deliveries, engine clock reads, domain fault-plan
 //!   events, recovery seeding) into a typed, versioned [`ReplayEvent`]
 //!   log on the ftd-store WAL (`[len][crc32][payload]` frames,

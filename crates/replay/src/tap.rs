@@ -12,7 +12,7 @@ use crate::digest::{actions_crc, fold64, hash64, ShardDigest};
 use crate::event::{RecordedView, ReplayEvent};
 use crate::recorder::Recorder;
 use ftd_core::{Action, GatewayEngine, GwConn};
-use ftd_giop::{ByteOrder, Frame, GiopMessage};
+use ftd_giop::Frame;
 use ftd_totem::GroupId;
 use std::sync::Arc;
 
@@ -56,36 +56,8 @@ impl ShardTap {
         actions
     }
 
-    /// Tapped client-message entry point. The message is stored in its
-    /// canonical big-endian encoding; `view` is the recorded snapshot
-    /// of the domain view the engine consults. The engine is driven
-    /// through [`GatewayEngine::on_client_frame`] on those canonical
-    /// bytes — the same entry point the replayer uses — so recorded and
-    /// replayed action streams fingerprint identically.
-    pub fn on_message(
-        &mut self,
-        engine: &mut GatewayEngine,
-        conn: GwConn,
-        msg: GiopMessage,
-        view: &RecordedView,
-    ) -> Vec<Action> {
-        let bytes = msg.encode(ByteOrder::Big);
-        let frame = Frame::parse(&bytes).expect("encoded message reparses");
-        let actions = engine.on_client_frame(conn, frame, view);
-        let crc = self.note(&actions);
-        self.recorder.record(&ReplayEvent::ClientMsg {
-            shard: self.shard,
-            conn: conn.0,
-            view: view.clone(),
-            bytes,
-            actions_crc: crc,
-        });
-        actions
-    }
-
-    /// Tapped [`GatewayEngine::on_client_frame`] — the zero-copy twin
-    /// of [`ShardTap::on_message`]. The borrowed wire bytes are copied
-    /// once here, into the recording; replaying them through
+    /// Tapped [`GatewayEngine::on_client_frame`]. The wire bytes are
+    /// copied once here, into the recording; replaying them through
     /// [`GatewayEngine::on_client_frame`] reproduces the call exactly.
     pub fn on_frame(
         &mut self,

@@ -4,7 +4,7 @@
 //! artificially injected divergence.
 
 use ftd_core::{EngineConfig, GatewayEngine, GwConn};
-use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Request};
+use ftd_giop::{ByteOrder, Frame, GiopMessage, ObjectKey, Request};
 use ftd_obs::{Clock, ManualClock};
 use ftd_replay::{
     read_log, replay_events, EngineSetup, NullDomain, RecordedView, Recorder, RecordingClock,
@@ -63,12 +63,9 @@ fn record_run(name: &str) -> PathBuf {
     tap.on_accepted(&mut engine, GwConn(1));
     for (id, add) in [(1u32, 7u64), (2, 11), (3, 2)] {
         manual.advance(250);
-        tap.on_message(
-            &mut engine,
-            GwConn(1),
-            request(id, "add", add.to_be_bytes().to_vec()),
-            &view,
-        );
+        let wire = request(id, "add", add.to_be_bytes().to_vec()).encode(ByteOrder::Big);
+        let frame = Frame::parse(&wire).expect("one frame");
+        tap.on_frame(&mut engine, GwConn(1), frame, &view);
     }
     manual.advance(50);
     tap.on_closed(&mut engine, GwConn(1));
