@@ -1,12 +1,12 @@
 //! `ftd-scale` — throughput scaling and latency sweeps for the sharded
 //! gateway.
 //!
-//! **Closed-loop mode** (default): for every (shards, gateways, depth)
-//! point in the sweep, brings up a fresh [`GatewayPool`] (a pool of 1
-//! is a plain [`GatewayServer`]) over an in-process 4-processor domain
-//! hosting G 3-replica active `Counter` groups, pins group `j` to shard
-//! `j % shards` for dense placement, and drives K closed-loop enhanced
-//! clients for a fixed wall-clock window. At `--depth 1` each client
+//! **Closed-loop mode** (default): for every (shards, depth) point in
+//! the sweep, brings up a fresh [`GatewayServer`] over an in-process
+//! 4-processor domain hosting G 3-replica active `Counter` groups, pins
+//! group `j` to shard `j % shards` for dense placement, and drives K
+//! closed-loop enhanced clients for a fixed wall-clock window. At
+//! `--depth 1` each client
 //! issues one `add` at a time (plain `invoke`); at higher depths each
 //! client keeps that many requests outstanding through a
 //! [`Pipeline`] session, so a single connection overlaps its
@@ -19,7 +19,7 @@
 //!   admits at most that many requests per shard into the domain at
 //!   once, so total in-flight — and hence throughput at fixed
 //!   round-trip time — grows with the shard count. The headline
-//!   `speedup_4x1` compares 4 shards against 1 on a single gateway.
+//!   `speedup_4x1` compares 4 shards against 1.
 //! * per-client **pipelining** (`--depths`): with the connection no
 //!   longer idle for a full RTT between requests, the same client
 //!   count sustains depth× the outstanding work. The headline
@@ -52,7 +52,7 @@
 //!
 //! ```text
 //! ftd-scale [--clients N] [--duration-ms N] [--window N] [--repeat N]
-//!           [--shards LIST] [--gateways LIST] [--depth N] [--depths LIST]
+//!           [--shards LIST] [--depth N] [--depths LIST]
 //!           [--open-loop RATE] [--connections LIST] [--json PATH]
 //!           [--assert-speedup F] [--assert-pipeline-speedup F]
 //!           [--assert-p99 MICROS] [--assert-min-rps F]
@@ -65,7 +65,7 @@
 
 use ftd_core::EngineConfig;
 use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
-use ftd_net::{AdmissionPolicy, GatewayPool, NetClient, PendingReply};
+use ftd_net::{AdmissionPolicy, GatewayServer, NetClient, PendingReply};
 use ftd_totem::GroupId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +82,6 @@ struct Opts {
     window: usize,
     repeat: usize,
     shards: Vec<usize>,
-    gateways: Vec<usize>,
     depths: Vec<usize>,
     open_loop: Option<f64>,
     connections: Option<Vec<usize>>,
@@ -115,7 +114,6 @@ fn parse_opts() -> Opts {
         window: 4,
         repeat: 3,
         shards: vec![1, 2, 4, 8],
-        gateways: vec![1, 2],
         depths: vec![1],
         open_loop: None,
         connections: None,
@@ -138,7 +136,6 @@ fn parse_opts() -> Opts {
             "--window" => opts.window = parse(&value("--window")),
             "--repeat" => opts.repeat = parse(&value("--repeat")),
             "--shards" => opts.shards = parse_list(&value("--shards")),
-            "--gateways" => opts.gateways = parse_list(&value("--gateways")),
             "--depth" => opts.depths = vec![parse(&value("--depth"))],
             "--depths" => opts.depths = parse_list(&value("--depths")),
             "--open-loop" => opts.open_loop = Some(parse(&value("--open-loop"))),
@@ -156,7 +153,7 @@ fn parse_opts() -> Opts {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: ftd-scale [--clients N] [--duration-ms N] [--window N] \
-                     [--repeat N] [--shards LIST] [--gateways LIST] [--depth N] \
+                     [--repeat N] [--shards LIST] [--depth N] \
                      [--depths LIST] [--open-loop RATE] [--connections LIST] [--json PATH] \
                      [--assert-speedup F] [--assert-pipeline-speedup F] \
                      [--assert-p99 MICROS] [--assert-min-rps F] \
@@ -170,8 +167,8 @@ fn parse_opts() -> Opts {
     if opts.clients == 0 || opts.duration_ms == 0 || opts.repeat == 0 || opts.shards.is_empty() {
         die("--clients, --duration-ms, --repeat and --shards must be non-trivial");
     }
-    if opts.shards.contains(&0) || opts.gateways.contains(&0) {
-        die("shard and gateway counts must be >= 1");
+    if opts.shards.contains(&0) {
+        die("shard counts must be >= 1");
     }
     if opts.depths.is_empty() || opts.depths.contains(&0) {
         die("pipeline depths must be >= 1");
@@ -191,7 +188,6 @@ fn parse_opts() -> Opts {
 
 struct RunResult {
     shards: usize,
-    gateways: usize,
     depth: usize,
     requests: u64,
     elapsed_ms: u64,
@@ -199,15 +195,20 @@ struct RunResult {
     deferrals: u64,
 }
 
-/// Builds the pool one sweep point runs against: fresh domain, G pinned
-/// counter groups, the configured admission window.
-fn build_pool(opts: &Opts, shards: usize, gateways: usize, seed: u64) -> GatewayPool {
+/// Builds the gateway one sweep point runs against: fresh domain, G
+/// pinned counter groups, the given listen address and admission policy.
+fn build_gateway(
+    addr: &str,
+    shards: usize,
+    admission: AdmissionPolicy,
+    seed: u64,
+) -> GatewayServer {
     let config = EngineConfig::new(3, GroupId(0x4000_0003), 0);
-    let mut builder = GatewayPool::builder()
-        .gateways(gateways)
+    let mut builder = GatewayServer::builder()
+        .addr(addr)
         .config(config)
         .shards(shards)
-        .admission(AdmissionPolicy::inflight_window(opts.window))
+        .admission(admission)
         .host(move || {
             let mut host = start_host(seed)?;
             for j in 0..GROUPS {
@@ -224,16 +225,15 @@ fn build_pool(opts: &Opts, shards: usize, gateways: usize, seed: u64) -> Gateway
     }
     builder
         .build()
-        .unwrap_or_else(|e| die(&format!("pool start ({shards} shards): {e}")))
+        .unwrap_or_else(|e| die(&format!("gateway start ({shards} shards): {e}")))
 }
 
-fn connect_client(pool: &GatewayPool, i: u32, depth: usize) -> NetClient {
-    let client_id = 0x6000 + i as u64;
+fn connect_client(server: &GatewayServer, i: u32, depth: usize) -> NetClient {
     let group = GroupId(BASE_GROUP + i % GROUPS);
-    let ior = pool.ior_for_client(client_id, "IDL:Counter:1.0", group);
+    let ior = server.ior("IDL:Counter:1.0", group);
     let mut client = NetClient::builder()
         .ior(&ior)
-        .client_id(client_id as u32)
+        .client_id(0x6000 + i)
         .max_inflight(depth)
         .connect()
         .expect("connect");
@@ -243,8 +243,8 @@ fn connect_client(pool: &GatewayPool, i: u32, depth: usize) -> NetClient {
     client
 }
 
-fn shutdown_and_count_deferrals(pool: GatewayPool, shards: usize) -> u64 {
-    let stats = pool.shutdown();
+fn shutdown_and_count_deferrals(server: GatewayServer, shards: usize) -> u64 {
+    let stats = server.shutdown();
     (0..shards)
         .map(|s| {
             stats.counter(&ftd_obs::names::with_shard(
@@ -257,14 +257,15 @@ fn shutdown_and_count_deferrals(pool: GatewayPool, shards: usize) -> u64 {
 
 /// One closed-loop sweep point: K clients each keeping `depth` requests
 /// outstanding for a fixed window.
-fn run_point(opts: &Opts, shards: usize, gateways: usize, depth: usize, seed: u64) -> RunResult {
-    let pool = build_pool(opts, shards, gateways, seed);
+fn run_point(opts: &Opts, shards: usize, depth: usize, seed: u64) -> RunResult {
+    let window = AdmissionPolicy::inflight_window(opts.window);
+    let server = build_gateway("127.0.0.1:0", shards, window, seed);
 
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     let workers: Vec<_> = (0..opts.clients)
         .map(|i| {
-            let mut client = connect_client(&pool, i, depth);
+            let mut client = connect_client(&server, i, depth);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("scale-client-{i}"))
@@ -317,11 +318,10 @@ fn run_point(opts: &Opts, shards: usize, gateways: usize, depth: usize, seed: u6
         .sum();
     let elapsed = started.elapsed();
 
-    let deferrals = shutdown_and_count_deferrals(pool, shards);
+    let deferrals = shutdown_and_count_deferrals(server, shards);
     let throughput_rps = requests as f64 / elapsed.as_secs_f64();
     RunResult {
         shards,
-        gateways,
         depth,
         requests,
         elapsed_ms: elapsed.as_millis() as u64,
@@ -352,22 +352,16 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 /// One open-loop run: clients submit on a fixed schedule and measure
 /// each reply against its *scheduled* submission time.
-fn run_open_loop(
-    opts: &Opts,
-    shards: usize,
-    gateways: usize,
-    depth: usize,
-    rate: f64,
-    seed: u64,
-) -> OpenLoopResult {
-    let pool = build_pool(opts, shards, gateways, seed);
+fn run_open_loop(opts: &Opts, shards: usize, depth: usize, rate: f64, seed: u64) -> OpenLoopResult {
+    let window = AdmissionPolicy::inflight_window(opts.window);
+    let server = build_gateway("127.0.0.1:0", shards, window, seed);
 
     let stop = Arc::new(AtomicBool::new(false));
     let interval = Duration::from_secs_f64(opts.clients as f64 / rate);
     let started = Instant::now();
     let workers: Vec<_> = (0..opts.clients)
         .map(|i| {
-            let mut client = connect_client(&pool, i, depth);
+            let mut client = connect_client(&server, i, depth);
             let stop = Arc::clone(&stop);
             // Stagger starts so the aggregate arrival process is even,
             // not K simultaneous bursts.
@@ -444,7 +438,7 @@ fn run_open_loop(
         latencies.extend(l);
     }
     let elapsed = started.elapsed();
-    let deferrals = shutdown_and_count_deferrals(pool, shards);
+    let deferrals = shutdown_and_count_deferrals(server, shards);
 
     latencies.sort_unstable();
     OpenLoopResult {
@@ -501,38 +495,17 @@ const SMOKE_WAVE: usize = 4096;
 /// a `LocateRequest` (answered by the gateway itself — no domain round
 /// trip, so the smoke measures the connection core, not the domain).
 fn run_connections_point(opts: &Opts, n: usize) -> ConnectionsResult {
-    let pool = {
-        let config = EngineConfig::new(3, GroupId(0x4000_0003), 0);
-        let shards = opts.shards[0];
-        let seed = 0xC50C + n as u64;
-        let mut builder = GatewayPool::builder()
-            .gateways(1)
-            // All interfaces: the client dials several loopback
-            // addresses so each gets its own ephemeral-port space.
-            .addr("0.0.0.0:0")
-            .config(config)
-            .shards(shards)
-            .host(move || {
-                let mut host = start_host(seed)?;
-                for j in 0..GROUPS {
-                    host.create_group(
-                        GroupId(BASE_GROUP + j),
-                        "Counter",
-                        FtProperties::new(ReplicationStyle::Active).with_initial(3),
-                    );
-                }
-                Ok::<_, ftd_core::Error>(host)
-            });
-        for j in 0..GROUPS {
-            builder = builder.pin_group(GroupId(BASE_GROUP + j), j as usize % shards);
-        }
-        builder
-            .build()
-            .unwrap_or_else(|e| die(&format!("gateway start: {e}")))
-    };
-    let port = pool.gateway(0).local_addr().port();
-    let object_key = pool
-        .ior_for_client(0, "IDL:Counter:1.0", GroupId(BASE_GROUP))
+    // All interfaces: the client dials several loopback addresses so
+    // each gets its own ephemeral-port space.
+    let server = build_gateway(
+        "0.0.0.0:0",
+        opts.shards[0],
+        AdmissionPolicy::default(),
+        0xC50C + n as u64,
+    );
+    let port = server.local_addr().port();
+    let object_key = server
+        .ior("IDL:Counter:1.0", GroupId(BASE_GROUP))
         .primary_iiop()
         .expect("iiop profile")
         .object_key;
@@ -638,7 +611,7 @@ fn run_connections_point(opts: &Opts, n: usize) -> ConnectionsResult {
     let smoke_ms = smoke_at.elapsed().as_millis() as u64;
 
     drop(conns);
-    pool.shutdown();
+    server.shutdown();
     ConnectionsResult {
         connections: n,
         served,
@@ -740,75 +713,57 @@ fn main() {
         return;
     }
     eprintln!(
-        "ftd-scale: clients={} duration={}ms window={} repeat={} shards={:?} gateways={:?} \
-         depths={:?}",
-        opts.clients,
-        opts.duration_ms,
-        opts.window,
-        opts.repeat,
-        opts.shards,
-        opts.gateways,
-        opts.depths
+        "ftd-scale: clients={} duration={}ms window={} repeat={} shards={:?} depths={:?}",
+        opts.clients, opts.duration_ms, opts.window, opts.repeat, opts.shards, opts.depths
     );
 
     let mut runs = Vec::new();
-    for &gateways in &opts.gateways {
-        for &shards in &opts.shards {
-            for &depth in &opts.depths {
-                // Best of `repeat` attempts: one attempt measures one
-                // scheduling of 60+ threads on however few cores CI
-                // grants, so a single sample is noise — the max is the
-                // point's actual capability and is what the regression
-                // gate needs to be stable.
-                let r = (0..opts.repeat)
-                    .map(|a| {
-                        run_point(
-                            &opts,
-                            shards,
-                            gateways,
-                            depth,
-                            0x5CA1E + shards as u64 + a as u64,
-                        )
-                    })
-                    .max_by(|x, y| x.throughput_rps.total_cmp(&y.throughput_rps))
-                    .expect("repeat >= 1");
-                eprintln!(
-                    "ftd-scale: shards={} gateways={} depth={} -> {} requests in {}ms = \
-                     {:.0} rps (deferrals={}, best of {})",
-                    r.shards,
-                    r.gateways,
-                    r.depth,
-                    r.requests,
-                    r.elapsed_ms,
-                    r.throughput_rps,
-                    r.deferrals,
-                    opts.repeat
-                );
-                runs.push(r);
-            }
+    for &shards in &opts.shards {
+        for &depth in &opts.depths {
+            // Best of `repeat` attempts: one attempt measures one
+            // scheduling of 60+ threads on however few cores CI grants,
+            // so a single sample is noise — the max is the point's actual
+            // capability and is what the regression gate needs to be
+            // stable.
+            let r = (0..opts.repeat)
+                .map(|a| run_point(&opts, shards, depth, 0x5CA1E + shards as u64 + a as u64))
+                .max_by(|x, y| x.throughput_rps.total_cmp(&y.throughput_rps))
+                .expect("repeat >= 1");
+            eprintln!(
+                "ftd-scale: shards={} depth={} -> {} requests in {}ms = {:.0} rps \
+                 (deferrals={}, best of {})",
+                r.shards,
+                r.depth,
+                r.requests,
+                r.elapsed_ms,
+                r.throughput_rps,
+                r.deferrals,
+                opts.repeat
+            );
+            runs.push(r);
         }
     }
 
     let base_depth = opts.depths[0];
-    let rps_at = |shards: usize, gateways: usize, depth: usize| {
+    let rps_at = |shards: usize, depth: usize| {
         runs.iter()
-            .find(|r| r.shards == shards && r.gateways == gateways && r.depth == depth)
+            .find(|r| r.shards == shards && r.depth == depth)
             .map(|r| r.throughput_rps)
     };
-    let speedup_4x1 = match (rps_at(1, 1, base_depth), rps_at(4, 1, base_depth)) {
+    let speedup_4x1 = match (rps_at(1, base_depth), rps_at(4, base_depth)) {
         (Some(one), Some(four)) if one > 0.0 => Some(four / one),
         _ => None,
     };
     if let Some(s) = speedup_4x1 {
-        eprintln!("ftd-scale: speedup (4 shards vs 1, single gateway) = {s:.2}x");
+        eprintln!("ftd-scale: speedup (4 shards vs 1) = {s:.2}x");
     }
-    // Pipelining headline: depth 8 vs depth 1 at the first (gateways,
-    // shards) point that ran both — equal shard count by construction.
+    // Pipelining headline: depth 8 vs depth 1 at the first shard count
+    // that ran both — equal shard count by construction.
     let pipeline_speedup_8x1 = runs.iter().find_map(|r| {
         if r.depth != 1 {
             return None;
         }
-        let deep = rps_at(r.shards, r.gateways, 8)?;
+        let deep = rps_at(r.shards, 8)?;
         (r.throughput_rps > 0.0).then(|| deep / r.throughput_rps)
     });
     if let Some(s) = pipeline_speedup_8x1 {
@@ -845,15 +800,9 @@ fn main() {
         for (i, r) in runs.iter().enumerate() {
             let sep = if i + 1 < runs.len() { "," } else { "" };
             rows.push_str(&format!(
-                "    {{\"shards\": {}, \"gateways\": {}, \"depth\": {}, \"requests\": {}, \
+                "    {{\"shards\": {}, \"depth\": {}, \"requests\": {}, \
                  \"elapsed_ms\": {}, \"throughput_rps\": {:.1}, \"deferrals\": {}}}{sep}\n",
-                r.shards,
-                r.gateways,
-                r.depth,
-                r.requests,
-                r.elapsed_ms,
-                r.throughput_rps,
-                r.deferrals
+                r.shards, r.depth, r.requests, r.elapsed_ms, r.throughput_rps, r.deferrals
             ));
         }
         let fmt_speedup = |s: Option<f64>| {
@@ -909,28 +858,20 @@ fn main() {
     }
 }
 
-/// Open-loop entry: a single (shards, gateways, depth) configuration
-/// under a fixed arrival rate, best-p99 of `--repeat` attempts.
+/// Open-loop entry: a single (shards, depth) configuration under a
+/// fixed arrival rate, best-p99 of `--repeat` attempts.
 fn main_open_loop(opts: &Opts, rate: f64) {
     let shards = opts.shards[0];
-    let gateways = opts.gateways[0];
     let depth = *opts.depths.iter().max().expect("non-empty depths");
     eprintln!(
         "ftd-scale: open-loop rate={rate} rps clients={} duration={}ms window={} depth={depth} \
-         shards={shards} gateways={gateways} repeat={}",
+         shards={shards} repeat={}",
         opts.clients, opts.duration_ms, opts.window, opts.repeat
     );
 
     let r = (0..opts.repeat)
         .map(|a| {
-            let r = run_open_loop(
-                opts,
-                shards,
-                gateways,
-                depth,
-                rate,
-                0x0BE1 + shards as u64 + a as u64,
-            );
+            let r = run_open_loop(opts, shards, depth, rate, 0x0BE1 + shards as u64 + a as u64);
             eprintln!(
                 "ftd-scale: attempt {a}: sent={} completed={} in {}ms = {:.0} rps, \
                  latency p50={}us p99={}us p99.9={}us max={}us (deferrals={})",
@@ -958,7 +899,7 @@ fn main_open_loop(opts: &Opts, rate: f64) {
         let json = format!(
             "{{\n  \"mode\": \"open_loop\",\n  \"rate_rps\": {rate},\n  \"clients\": {},\n  \
              \"duration_ms\": {},\n  \"window_per_shard\": {},\n  \"depth\": {depth},\n  \
-             \"shards\": {shards},\n  \"gateways\": {gateways},\n  \"sent\": {},\n  \
+             \"shards\": {shards},\n  \"sent\": {},\n  \
              \"completed\": {},\n  \"achieved_rps\": {:.1},\n  \"latency_us\": \
              {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}},\n  \
              \"deferrals\": {},\n  \"p99_floor_us\": {},\n  \"passed\": {passed}\n}}\n",

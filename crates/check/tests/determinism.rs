@@ -26,6 +26,13 @@
 //! of the owned-message fork that used to run beside it are banned
 //! everywhere, so a second framer or engine entry point cannot grow back
 //! unnoticed.
+//!
+//! And it polices the single multi-gateway scheme: every gateway owns
+//! exactly one domain, and more than one gateway is §3.5's gateway group.
+//! The in-process pool that shared one domain between gateways, its
+//! client partitioning, and the shared-domain handle are banned, as is
+//! the untested non-Unix poller fallback (the crate refuses to build off
+//! Unix instead).
 
 use std::path::{Path, PathBuf};
 
@@ -45,6 +52,17 @@ const RETIRED: &[&str] = &[
     "on_bytes_from_client",
     "ReqInput",
     "process_msg",
+];
+
+/// The deleted second multi-gateway scheme (no allowlist): the shared-
+/// domain pool, its client partitioning and per-client IORs, the public
+/// shared-domain handle, and the non-Unix poller fallback.
+const SECOND_SCHEME: &[&str] = &[
+    "GatewayPool",
+    "gateway_for_client",
+    "ior_for_client",
+    "fn domain_link",
+    "cfg(not(unix))",
 ];
 
 const ALLOWED: &[&str] = &[
@@ -141,6 +159,18 @@ fn the_owned_message_path_stays_deleted() {
         "a retired name of the owned-message client path is back — feed \
          the wire frame to GatewayEngine::on_client_frame (framing bytes \
          with ftd_giop::FrameBuf) instead of forking the path:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn the_second_gateway_scheme_stays_deleted() {
+    let violations = scan(SECOND_SCHEME, &[]);
+    assert!(
+        violations.is_empty(),
+        "a retired name of the shared-domain gateway pool is back — run \
+         more than one gateway as a gateway group \
+         (GatewayServer::builder().group(..)), each owning its own domain:\n{}",
         violations.join("\n")
     );
 }

@@ -5,13 +5,12 @@
 //! it multicasts invocations into an ordered transport and reads ordered
 //! deliveries back (§3.1). [`DomainBackend`] captures exactly that
 //! surface — plus the operational controls the harnesses need (fault
-//! injection, health, stats binding) — so [`DomainService`],
-//! [`GatewayPool`], and the test suites accept *any* backend: the plain
+//! injection, health, stats binding) — so
+//! [`GatewayBuilder::host`](crate::GatewayBuilder::host), the gateway's
+//! domain thread, and the test suites accept *any* backend: the plain
 //! in-process [`DomainHost`], the durability-wrapping
 //! [`DurableHost`](crate::DurableHost), or a test double.
 //!
-//! [`DomainService`]: crate::DomainService
-//! [`GatewayPool`]: crate::GatewayPool
 //! [`DomainHost`]: crate::DomainHost
 
 use crate::host::{DomainHost, HostView};

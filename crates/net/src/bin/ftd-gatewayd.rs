@@ -8,7 +8,7 @@
 //! ```text
 //! ftd-gatewayd [--port N] [--domain N] [--processors N] [--replicas N]
 //!              [--group N] [--voting] [--seed N] [--shards N]
-//!              [--gateways N] [--inflight N] [--data-dir DIR]
+//!              [--inflight N] [--data-dir DIR] [--record-dir DIR]
 //!              [--metrics-addr HOST:PORT] [--max-body-bytes N]
 //!              [--ior-file PATH]
 //!              [--group-node N] [--group-listen HOST:PORT]
@@ -17,16 +17,15 @@
 //!              [--print-proto-version]
 //! ```
 //!
-//! `--shards` sets the engine shard (thread) count per gateway (default:
-//! the machine's available parallelism). `--gateways N` with N > 1 runs
-//! a [`GatewayPool`]: N gateways in front of one shared domain, one IOR
-//! printed per gateway. `--inflight` bounds each shard's admission
-//! window.
+//! `--shards` sets the engine shard (thread) count (default: the
+//! machine's available parallelism). `--inflight` bounds each shard's
+//! admission window. One daemon is one gateway in front of its own
+//! domain; more gateways means more daemons joined into a gateway group
+//! (`--group-node`, below).
 //!
 //! `--data-dir DIR` turns on stable storage: the domain's per-group
 //! operation logs and checkpoints live under `DIR/domain`, the gateway's
-//! §3.5 response cache and §3.2 client-id counters under `DIR/gateway`
-//! (or `DIR/gw-<g>/gateway` per member of a `--gateways N` pool). On
+//! §3.5 response cache and §3.2 client-id counters under `DIR/gateway`. On
 //! start the daemon replays whatever a previous incarnation left
 //! behind — recovered object state, re-executed logged invocations, and
 //! a reissue cache that still suppresses duplicates for requests the
@@ -38,7 +37,7 @@
 //!
 //! `--record-dir DIR` records every nondeterministic input the gateway
 //! consumes into an `ftd-replay` event log under `DIR`; replay it
-//! offline with `ftd-replay replay DIR`. Single gateway only.
+//! offline with `ftd-replay replay DIR`.
 //!
 //! `--group-node N` joins an **out-of-process gateway group** (§3.5's
 //! redundant gateways): this daemon discovers the processes named by
@@ -49,8 +48,8 @@
 //! fail over to a survivor whose relayed cache answers its reissues
 //! byte-identically. `--group-size N` waits for N members to be in the
 //! view before publishing the IOR; `--linger-ms` is how long a departed
-//! peer's client state lingers before GC. Group mode hosts its own
-//! domain replica per process, so it requires `--gateways 1`.
+//! peer's client state lingers before GC. Every member hosts its own
+//! domain replica.
 //!
 //! `--sync-state` makes a (re)joining group member catch up by **state
 //! transfer** before it publishes its IOR: a live peer streams its
@@ -62,18 +61,18 @@
 //! relay wire protocol version) and exits — harnesses use it to detect
 //! a stale binary before spending minutes on a soak.
 //!
-//! `--ior-file PATH` additionally writes the published IOR(s), one per
-//! line, to PATH (atomically: temp file + rename) — how other processes
+//! `--ior-file PATH` additionally writes the published IOR to PATH
+//! (atomically: temp file + rename) — how other processes
 //! and the group soak harness pick the IOR up without scraping stdout.
 
 use ftd_core::EngineConfig;
 use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
 use ftd_net::{
-    AdmissionPolicy, DomainBackend, DomainHost, DurableHost, GatewayPool, GatewayServer,
-    GroupOptions, ServerOptions,
+    AdmissionPolicy, DomainBackend, DomainHost, DurableHost, GatewayServer, GroupOptions,
+    ServerOptions,
 };
 use ftd_obs::Registry;
-use ftd_replay::{style_tag, GroupSpec, Recorder, ReplayEvent};
+use ftd_replay::{style_tag, GroupSpec, ReplayEvent};
 use ftd_store::FsyncPolicy;
 use ftd_totem::GroupId;
 use std::path::PathBuf;
@@ -91,7 +90,6 @@ struct Opts {
     metrics_addr: Option<String>,
     max_body_bytes: Option<usize>,
     shards: Option<usize>,
-    gateways: usize,
     inflight: Option<usize>,
     data_dir: Option<PathBuf>,
     record_dir: Option<PathBuf>,
@@ -117,7 +115,6 @@ fn parse_opts() -> Opts {
         metrics_addr: None,
         max_body_bytes: None,
         shards: None,
-        gateways: 1,
         inflight: None,
         data_dir: None,
         record_dir: None,
@@ -147,7 +144,6 @@ fn parse_opts() -> Opts {
             "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")),
             "--max-body-bytes" => opts.max_body_bytes = Some(parse(&value("--max-body-bytes"))),
             "--shards" => opts.shards = Some(parse(&value("--shards"))),
-            "--gateways" => opts.gateways = parse(&value("--gateways")),
             "--inflight" => opts.inflight = Some(parse(&value("--inflight"))),
             "--data-dir" => opts.data_dir = Some(PathBuf::from(value("--data-dir"))),
             "--record-dir" => opts.record_dir = Some(PathBuf::from(value("--record-dir"))),
@@ -173,7 +169,7 @@ fn parse_opts() -> Opts {
                 eprintln!(
                     "usage: ftd-gatewayd [--port N] [--domain N] [--processors N] \
                      [--replicas N] [--group N] [--voting] [--seed N] [--shards N] \
-                     [--gateways N] [--inflight N] [--data-dir DIR] [--record-dir DIR] \
+                     [--inflight N] [--data-dir DIR] [--record-dir DIR] \
                      [--metrics-addr HOST:PORT] [--max-body-bytes N] [--ior-file PATH] \
                      [--group-node N] [--group-listen HOST:PORT] [--group-peers A,B,..] \
                      [--group-relay HOST:PORT] [--group-size N] [--linger-ms N] \
@@ -186,15 +182,6 @@ fn parse_opts() -> Opts {
     }
     if opts.processors < opts.replicas {
         die("--processors must be >= --replicas");
-    }
-    if opts.gateways == 0 {
-        die("--gateways must be >= 1");
-    }
-    if opts.record_dir.is_some() && opts.gateways > 1 {
-        die("--record-dir serves a single gateway (one recording per gateway process)");
-    }
-    if opts.group_node.is_some() && opts.gateways > 1 {
-        die("--group-node joins a group of processes; each runs --gateways 1");
     }
     if opts.group_node.is_none()
         && (opts.group_listen.is_some()
@@ -212,11 +199,11 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Writes `lines` to `path` atomically (temp file in the same directory,
+/// Writes `ior` to `path` atomically (temp file in the same directory,
 /// then rename), so a reader polling the path never sees a torn IOR.
-fn write_ior_file(path: &std::path::Path, lines: &[String]) {
+fn write_ior_file(path: &std::path::Path, ior: &str) {
     let tmp = path.with_extension("tmp");
-    let body = lines.join("\n") + "\n";
+    let body = format!("{ior}\n");
     if let Err(e) = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, path)) {
         die(&format!("writing --ior-file {}: {e}", path.display()));
     }
@@ -256,118 +243,15 @@ fn main() {
         options = options.metrics_addr(addr.clone());
     }
     let options = options.build();
-    let registry = Arc::new(Registry::new());
-    // Reusable factory generator: the recorder (if recording) must reach
-    // the domain bring-up so recovery is part of the event log.
-    let make_host_factory = {
-        let registry = registry.clone();
-        let data_dir = opts.data_dir.clone();
-        move |recorder: Option<Arc<Recorder>>| {
-            let factory_registry = registry.clone();
-            let factory_data_dir = data_dir.clone();
-            move || {
-                let mut host = DomainHost::try_start(domain, processors, seed, || {
-                    let mut reg = ObjectRegistry::new();
-                    reg.register("Counter", Box::new(|| Box::new(Counter::new())));
-                    reg
-                })?;
-                host.create_group(
-                    group,
-                    "Counter",
-                    FtProperties::new(style).with_initial(replicas),
-                );
-                let backend: Box<dyn DomainBackend> = match &factory_data_dir {
-                    Some(dir) => {
-                        let (durable, recovery) = DurableHost::open_recording(
-                            host,
-                            dir,
-                            FsyncPolicy::Always,
-                            Some(factory_registry),
-                            recorder.as_deref(),
-                        )
-                        .map_err(ftd_core::Error::Io)?;
-                        eprintln!(
-                            "ftd-gatewayd: recovered {} durable groups, {} cached responses, \
-                             replayed {} logged operations",
-                            recovery.groups_recovered,
-                            recovery.responses_restored,
-                            recovery.ops_replayed,
-                        );
-                        Box::new(durable)
-                    }
-                    None => Box::new(host),
-                };
-                Ok::<_, ftd_core::Error>(backend)
-            }
-        }
-    };
-
-    if opts.gateways > 1 {
-        // Scale-out: one shared domain, N gateways, one IOR per gateway.
-        let mut builder = GatewayPool::builder()
-            .gateways(opts.gateways)
-            .addr("127.0.0.1:0")
-            .config(config)
-            .registry(registry)
-            .host(make_host_factory(None));
-        if let Some(shards) = opts.shards {
-            builder = builder.shards(shards);
-        }
-        if let Some(window) = opts.inflight {
-            builder = builder.admission(AdmissionPolicy::inflight_window(window));
-        }
-        if let Some(dir) = &opts.data_dir {
-            builder = builder.data_dir(dir.clone());
-        }
-        let pool = builder
-            .build()
-            .unwrap_or_else(|e| die(&format!("start failed: {e}")));
-        eprintln!(
-            "ftd-gatewayd: domain {} ({} processors, {} {} Counter replicas) behind {} gateways",
-            domain,
-            processors,
-            replicas,
-            if opts.voting { "voting" } else { "active" },
-            pool.len(),
-        );
-        let iors: Vec<String> = (0..pool.len())
-            .map(|g| {
-                pool.gateway(g)
-                    .ior("IDL:Counter:1.0", group)
-                    .to_stringified()
-            })
-            .collect();
-        for ior in &iors {
-            println!("{ior}");
-        }
-        if let Some(path) = &opts.ior_file {
-            write_ior_file(path, &iors);
-        }
-        loop {
-            std::thread::sleep(Duration::from_secs(10));
-            let snap = pool.snapshot();
-            let snapshot = pool.registry().snapshot();
-            eprintln!(
-                "ftd-gatewayd: clients={} forwarded={} suppressed={} cached={} \
-                 bytes_in={} bytes_out={}",
-                snap.connected_clients,
-                snapshot.counter("gateway.requests_forwarded"),
-                snap.duplicates_suppressed,
-                snap.cached_responses,
-                snapshot.counter("net.bytes_in"),
-                snapshot.counter("net.bytes_out"),
-            );
-        }
-    }
-
     let mut builder = GatewayServer::builder()
         .addr(format!("127.0.0.1:{}", opts.port))
         .config(config)
-        .options(options)
-        .registry(registry);
+        .options(options);
     if let Some(dir) = &opts.record_dir {
         builder = builder.record_dir(dir.clone());
     }
+    // The recorder (if recording) must reach the domain bring-up so
+    // recovery is part of the event log.
     let recorder = builder.recorder();
     if let Some(rec) = &recorder {
         rec.record(&ReplayEvent::Topology {
@@ -383,7 +267,41 @@ fn main() {
         });
         eprintln!("ftd-gatewayd: recording to {}", rec.dir().display());
     }
-    builder = builder.host(make_host_factory(recorder));
+    let registry = Arc::new(Registry::new());
+    let data_dir = opts.data_dir.clone();
+    let factory_registry = registry.clone();
+    builder = builder.registry(registry).host(move || {
+        let mut host = DomainHost::try_start(domain, processors, seed, || {
+            let mut reg = ObjectRegistry::new();
+            reg.register("Counter", Box::new(|| Box::new(Counter::new())));
+            reg
+        })?;
+        host.create_group(
+            group,
+            "Counter",
+            FtProperties::new(style).with_initial(replicas),
+        );
+        let backend: Box<dyn DomainBackend> = match &data_dir {
+            Some(dir) => {
+                let (durable, recovery) = DurableHost::open_recording(
+                    host,
+                    dir,
+                    FsyncPolicy::Always,
+                    Some(factory_registry),
+                    recorder.as_deref(),
+                )
+                .map_err(ftd_core::Error::Io)?;
+                eprintln!(
+                    "ftd-gatewayd: recovered {} durable groups, {} cached responses, \
+                     replayed {} logged operations",
+                    recovery.groups_recovered, recovery.responses_restored, recovery.ops_replayed,
+                );
+                Box::new(durable)
+            }
+            None => Box::new(host),
+        };
+        Ok::<_, ftd_core::Error>(backend)
+    });
     if let Some(dir) = &opts.data_dir {
         builder = builder.data_dir(dir.clone());
     }
@@ -466,7 +384,7 @@ fn main() {
     let ior = server.group_ior("IDL:Counter:1.0", group).to_stringified();
     println!("{ior}");
     if let Some(path) = &opts.ior_file {
-        write_ior_file(path, &[ior]);
+        write_ior_file(path, &ior);
     }
 
     loop {

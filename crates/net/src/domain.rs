@@ -1,18 +1,20 @@
-//! The domain thread: one [`DomainBackend`] pumped in virtual time,
-//! shared by every gateway in front of it.
+//! The domain thread: the one [`DomainBackend`] a gateway owns, pumped
+//! in virtual time.
 //!
 //! The seed architecture ran the in-process domain *on* the gateway's
-//! single engine thread. With the engine sharded (N threads) and
-//! scale-out (M gateways per domain, [`crate::GatewayPool`]), the domain
+//! single engine thread. With the engine sharded (N threads) the domain
 //! gets its own thread: [`DomainService`] owns the host, applies queued
 //! multicasts, advances the virtual clock a slice per pump (one pump per
-//! real tick when idle; drain, pump, repeat while commands are queued), and
-//! routes ordered deliveries out to every registered gateway's shard
-//! queues. Gateways talk to it through a cloneable [`DomainLink`].
+//! real tick when idle; drain, pump, repeat while commands are queued),
+//! and routes ordered deliveries out through the gateway's delivery sink
+//! to its shard queues. The gateway's shards, relay and admin threads
+//! talk to it through a cloneable [`DomainLink`].
 //!
-//! The paper's Fig. 1 anticipates exactly this shape: several gateways
-//! front one fault tolerance domain; the domain is the ordered,
-//! replicated substrate and the gateways are the scale-out edge.
+//! Every gateway owns exactly one domain. Several gateways in front of
+//! one *logical* domain is §3.5's gateway group
+//! ([`GroupOptions`](crate::GroupOptions)): each member hosts its own
+//! deterministic replica of the domain and the group relay keeps their
+//! inputs identical.
 
 use crate::backend::{DomainBackend, GroupSnapshot};
 use crate::host::HostView;
@@ -33,7 +35,7 @@ pub(crate) const TICK_VIRTUAL: SimDuration = SimDuration::from_millis(2);
 
 /// A live fault injected into the domain behind serving gateways — the
 /// harness-facing face of the §3.5 fault model. Applied on the domain
-/// thread via [`DomainLink::inject`] / `GatewayServer::inject`.
+/// thread via [`GatewayServer::inject`](crate::GatewayServer::inject).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainFault {
     /// Crash a domain processor (by index; 0, the relay, is refused).
@@ -42,9 +44,9 @@ pub enum DomainFault {
     RecoverProcessor(usize),
 }
 
-/// A delivery fan-out callback registered by one gateway: returns `false`
-/// once the gateway is gone, and the service drops it.
-pub(crate) type DeliverySink = Box<dyn FnMut(GroupId, &[u8]) -> bool + Send>;
+/// The gateway's delivery fan-out callback: routes one ordered delivery
+/// to the shard queue(s) that need it.
+pub(crate) type DeliverySink = Box<dyn FnMut(GroupId, &[u8]) + Send>;
 
 enum DomainCmd {
     Multicast(GroupId, Vec<u8>),
@@ -65,31 +67,23 @@ struct DomainSharedState {
 }
 
 /// A cloneable handle to a running [`DomainService`]. Cheap to clone;
-/// every gateway and every shard thread holds one.
+/// every shard thread of the owning gateway holds one.
 #[derive(Clone)]
-pub struct DomainLink {
+pub(crate) struct DomainLink {
     tx: Sender<DomainCmd>,
     shared: Arc<DomainSharedState>,
-}
-
-impl std::fmt::Debug for DomainLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DomainLink")
-            .field("healthy", &self.healthy())
-            .finish()
-    }
 }
 
 impl DomainLink {
     /// Whether the domain's ring is currently operational. Gateways shed
     /// new connections while `false`.
-    pub fn healthy(&self) -> bool {
+    pub(crate) fn healthy(&self) -> bool {
         self.shared.healthy.load(Ordering::SeqCst)
     }
 
     /// Injects a live fault (applied on the domain thread before its
     /// next tick).
-    pub fn inject(&self, fault: DomainFault) {
+    pub(crate) fn inject(&self, fault: DomainFault) {
         let _ = self.tx.send(DomainCmd::Chaos(fault));
     }
 
@@ -103,7 +97,7 @@ impl DomainLink {
         self.shared.view.lock().expect("view lock").clone()
     }
 
-    /// Registers a gateway's delivery sink.
+    /// Registers the gateway's delivery sink (replacing any earlier one).
     pub(crate) fn register_sink(&self, sink: DeliverySink) {
         let _ = self.tx.send(DomainCmd::Register(sink));
     }
@@ -142,20 +136,11 @@ impl DomainLink {
     }
 }
 
-/// Owns the domain thread. Construct with [`DomainService::start`]; hand
-/// [`DomainService::link`] clones to gateways (or let
-/// `GatewayServer::builder().host(..)` start a private one).
-pub struct DomainService {
+/// Owns the domain thread; `GatewayServer::builder().host(..)` starts
+/// one per gateway with [`DomainService::start`].
+pub(crate) struct DomainService {
     link: DomainLink,
     thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for DomainService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DomainService")
-            .field("healthy", &self.link.healthy())
-            .finish()
-    }
 }
 
 impl DomainService {
@@ -166,18 +151,12 @@ impl DomainService {
     /// counters are bridged into `registry`. Accepts any
     /// [`DomainBackend`]: the plain [`DomainHost`](crate::DomainHost),
     /// a [`DurableHost`](crate::DurableHost), or a test double.
-    pub fn start<B: DomainBackend>(
-        registry: Arc<Registry>,
-        host: impl FnOnce() -> ftd_core::Result<B> + Send + 'static,
-    ) -> ftd_core::Result<DomainService> {
-        Self::start_with_recorder(registry, host, None)
-    }
-
-    /// [`DomainService::start`] with a replay recorder tap: every
-    /// multicast, fault, virtual-time pump, and the final domain digest
-    /// are appended to the recorder in the exact order the domain thread
-    /// applies them — the domain half of a record/replay log.
-    pub fn start_with_recorder<B: DomainBackend>(
+    ///
+    /// With a replay `recorder`, every multicast, fault, virtual-time
+    /// pump, and the final domain digest are appended to it in the exact
+    /// order the domain thread applies them — the domain half of a
+    /// record/replay log.
+    pub(crate) fn start<B: DomainBackend>(
         registry: Arc<Registry>,
         host: impl FnOnce() -> ftd_core::Result<B> + Send + 'static,
         recorder: Option<Arc<ftd_replay::Recorder>>,
@@ -226,39 +205,32 @@ impl DomainService {
         })
     }
 
-    /// A handle gateways use to reach this domain.
-    pub fn link(&self) -> DomainLink {
+    /// A handle to this domain for the gateway's threads.
+    pub(crate) fn link(&self) -> DomainLink {
         self.link.clone()
     }
 
-    fn stop(&mut self) {
+    /// Stops the domain thread and joins it (idempotent).
+    pub(crate) fn shutdown(&mut self) {
         let _ = self.link.tx.send(DomainCmd::Shutdown);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
-
-    /// Stops the domain thread and joins it.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
 }
 
 impl Drop for DomainService {
     fn drop(&mut self) {
-        self.stop();
+        self.shutdown();
     }
 }
 
-fn route_deliveries(deliveries: &[(GroupId, Vec<u8>)], sinks: &mut Vec<DeliverySink>) {
-    if deliveries.is_empty() || sinks.is_empty() {
-        return;
+fn route_deliveries(deliveries: &[(GroupId, Vec<u8>)], sink: &mut Option<DeliverySink>) {
+    if let Some(sink) = sink {
+        for (group, payload) in deliveries {
+            sink(*group, payload);
+        }
     }
-    sinks.retain_mut(|sink| {
-        deliveries
-            .iter()
-            .all(|(group, payload)| sink(*group, payload))
-    });
 }
 
 fn domain_loop<B: DomainBackend>(
@@ -273,7 +245,7 @@ fn domain_loop<B: DomainBackend>(
             r.record(event);
         }
     };
-    let mut sinks: Vec<DeliverySink> = Vec::new();
+    let mut sink: Option<DeliverySink> = None;
     let health_gauge = registry.gauge(names::GATEWAY_HEALTH);
     let mut published: Option<(bool, HostView)> = None;
     let mut next_tick = Instant::now() + TICK_REAL;
@@ -332,7 +304,7 @@ fn domain_loop<B: DomainBackend>(
                     rec(&ftd_replay::ReplayEvent::DomainRecover { index: i as u32 });
                     host.recover_processor(i);
                 }
-                DomainCmd::Register(sink) => sinks.push(sink),
+                DomainCmd::Register(new) => sink = Some(new),
                 DomainCmd::Quiesce(ack) => quiesce_acks.push(ack),
                 DomainCmd::Export(ack) => {
                     let _ = ack.send(host.export_groups());
@@ -355,7 +327,7 @@ fn domain_loop<B: DomainBackend>(
             micros: TICK_VIRTUAL.as_micros(),
         });
         let deliveries = host.pump(TICK_VIRTUAL);
-        route_deliveries(&deliveries, &mut sinks);
+        route_deliveries(&deliveries, &mut sink);
         host.maintain();
 
         if !quiesce_acks.is_empty() {
@@ -376,7 +348,7 @@ fn domain_loop<B: DomainBackend>(
                     idle += 1;
                 } else {
                     idle = 0;
-                    route_deliveries(&more, &mut sinks);
+                    route_deliveries(&more, &mut sink);
                 }
             }
             for ack in quiesce_acks {
@@ -424,10 +396,12 @@ mod tests {
     /// A backend that logs what the loop does to it. While `feedback` is
     /// set, every pump queues three multicasts tagged with its own number
     /// *during* the pump; a multicast surfaces as a delivery `delay`
-    /// pumps after it was applied.
+    /// pumps after it was applied. `operational` is what it answers the
+    /// health check with.
     struct Scripted {
         log: Arc<Mutex<Vec<Seen>>>,
         feedback: Arc<OnceLock<DomainLink>>,
+        operational: Arc<AtomicBool>,
         pump_time: Duration,
         delay: u32,
         pumps: u32,
@@ -442,7 +416,7 @@ mod tests {
             GroupId(0x4000_0001)
         }
         fn is_operational(&self) -> bool {
-            true
+            self.operational.load(Ordering::SeqCst)
         }
         fn multicast(&mut self, group: GroupId, payload: Vec<u8>) {
             self.log
@@ -483,27 +457,33 @@ mod tests {
         service: DomainService,
         log: Arc<Mutex<Vec<Seen>>>,
         feedback: Arc<OnceLock<DomainLink>>,
+        operational: Arc<AtomicBool>,
     }
 
     fn start(pump_time: Duration, delay: u32) -> Harness {
         let log = Arc::new(Mutex::new(Vec::new()));
         let feedback = Arc::new(OnceLock::new());
-        let (thread_log, thread_feedback) = (log.clone(), feedback.clone());
-        let service = DomainService::start(Arc::new(Registry::new()), move || {
+        let operational = Arc::new(AtomicBool::new(true));
+        let (thread_log, thread_feedback, thread_operational) =
+            (log.clone(), feedback.clone(), operational.clone());
+        let factory = move || {
             Ok(Scripted {
                 log: thread_log,
                 feedback: thread_feedback,
+                operational: thread_operational,
                 pump_time,
                 delay,
                 pumps: 0,
                 pending: Vec::new(),
             })
-        })
-        .expect("domain starts");
+        };
+        let service =
+            DomainService::start(Arc::new(Registry::new()), factory, None).expect("domain starts");
         Harness {
             service,
             log,
             feedback,
+            operational,
         }
     }
 
@@ -511,8 +491,8 @@ mod tests {
     fn multicasts_queued_during_a_pump_are_applied_before_the_next_pump() {
         // Pumps longer than TICK_REAL: the loop comes around already past
         // the tick boundary, with input waiting.
-        let h = start(Duration::from_millis(2), 0);
-        h.feedback.set(h.service.link()).expect("set once");
+        let mut h = start(Duration::from_millis(2), 0);
+        assert!(h.feedback.set(h.service.link()).is_ok(), "set once");
         let deadline = Instant::now() + Duration::from_secs(10);
         while h.log.lock().unwrap().len() < 80 {
             assert!(Instant::now() < deadline, "domain thread stalled");
@@ -541,11 +521,24 @@ mod tests {
 
     #[test]
     fn an_idle_service_pumps_about_once_per_tick() {
-        let h = start(Duration::ZERO, 0);
+        let mut h = start(Duration::ZERO, 0);
         let pumps = |h: &Harness| h.log.lock().unwrap().len() as u128;
         let (t0, n0) = (Instant::now(), pumps(&h));
         thread::sleep(Duration::from_millis(100));
         let (elapsed, n) = (t0.elapsed(), pumps(&h) - n0);
+        // The idle pumps keep re-reading the backend's health.
+        let link = h.service.link();
+        for operational in [false, true] {
+            h.operational.store(operational, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while link.healthy() != operational {
+                assert!(
+                    Instant::now() < deadline,
+                    "health never became {operational}"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
         h.service.shutdown();
         // Never faster than the tick; slower only as far as a loaded
         // test machine delays the wake-ups.
@@ -558,11 +551,11 @@ mod tests {
 
     #[test]
     fn quiesce_pumps_until_in_flight_deliveries_are_routed() {
-        let h = start(Duration::ZERO, 4);
+        let mut h = start(Duration::ZERO, 4);
         let link = h.service.link();
         let (tx, rx) = mpsc::channel();
         link.register_sink(Box::new(move |group, payload| {
-            tx.send((group, payload.to_vec())).is_ok()
+            let _ = tx.send((group, payload.to_vec()));
         }));
         link.multicast(GroupId(9), b"in flight".to_vec());
         link.quiesce(Duration::from_secs(10));

@@ -13,17 +13,15 @@
 //!   and dispatch each wire frame through a lock-free group→shard
 //!   routing table to the shard owning its slice of the engine state
 //!   (see `server` module docs for the thread layout).
-//! * [`GatewayPool`] — M gateways in front of one shared domain, with
-//!   deterministic client partitioning and per-client IORs advertising
-//!   the owning gateway.
-//! * [`DomainHost`] — the fault tolerance domain behind the gateway(s):
-//!   the simulated substrate (Totem ring, replication mechanisms,
-//!   replicated objects) hosted in-process on its own [`DomainService`]
-//!   thread and advanced in virtual time.
+//! * [`DomainHost`] — the fault tolerance domain behind a gateway: the
+//!   simulated substrate (Totem ring, replication mechanisms, replicated
+//!   objects) hosted in-process on the gateway's own domain thread and
+//!   advanced in virtual time. Each gateway owns exactly one domain.
 //! * [`NetClient`] — a blocking GIOP/IIOP client for real sockets, plain
 //!   (§3.4) or enhanced with the client-id service context (§3.5).
-//! * [`GroupOptions`] — out-of-process **gateway groups** (§3.5's
-//!   redundant gateways): independent gateway processes, each with its
+//! * [`GroupOptions`] — **gateway groups** (§3.5's redundant gateways),
+//!   the one way to run more than one gateway: independent gateways
+//!   (separate processes, or several in one test process), each with its
 //!   own deterministic domain replica, discover each other over UDP
 //!   (`ftd-group`), relay every admitted request and delivered reply
 //!   over a TCP mesh, and publish a multi-profile IOR
@@ -60,7 +58,6 @@ mod domain;
 mod durable;
 mod group;
 mod host;
-mod pool;
 mod reactor;
 mod relay;
 pub mod replay;
@@ -71,12 +68,11 @@ pub use backend::{DomainBackend, GroupSnapshot};
 pub use client::{
     NetClient, NetClientBuilder, PendingReply, Pipeline, RetryPolicy, DEFAULT_MAX_CLIENT_INFLIGHT,
 };
-pub use domain::{DomainFault, DomainLink, DomainService};
+pub use domain::DomainFault;
 pub use durable::{DomainRecovery, DurableHost};
 pub use ftd_group::{GroupMember, PROTO_VERSION};
 pub use group::GroupOptions;
 pub use host::{DomainHost, HostError, HostView};
-pub use pool::{gateway_for_client, GatewayPool, GatewayPoolBuilder};
 pub use reactor::{raise_nofile_limit, raw_fd, Event, Interest, Poller, RawSocket, Waker};
 pub use replay::{rebuild_domain, replay_recording, HostReplayDomain};
 pub use server::{

@@ -16,12 +16,14 @@
 //!   process can actually hold tens of thousands of sockets (the C50K
 //!   configuration; the default soft limit is typically 1024).
 //!
-//! On Unix the implementation wraps the C library's `poll(2)` and
-//! `setrlimit(2)` directly (no external crates); elsewhere a portable
-//! fallback reports every registered token ready on a short cadence,
-//! which is correct — if pessimistic — for nonblocking sockets.
+//! The implementation wraps the C library's `poll(2)` and
+//! `setrlimit(2)` directly (no external crates), so the crate builds on
+//! Unix only.
 
 use std::time::Duration;
+
+#[cfg(not(target_family = "unix"))]
+compile_error!("ftd-net needs a Unix poll(2)");
 
 /// What readiness a registered file descriptor is watched for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +63,6 @@ pub struct Event {
 
 pub use imp::{raise_nofile_limit, raw_fd, Poller, RawSocket, Waker};
 
-#[cfg(unix)]
 mod imp {
     use super::{Event, Interest};
     use std::collections::BTreeMap;
@@ -73,7 +74,7 @@ mod imp {
     use std::time::Duration;
 
     /// The raw descriptor type registrations are keyed on (an `i32`
-    /// file descriptor on Unix).
+    /// file descriptor).
     pub type RawSocket = RawFd;
 
     /// Returns the raw descriptor of a TCP stream, for
@@ -312,114 +313,6 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
-mod imp {
-    use super::{Event, Interest};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::net::TcpStream;
-    use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-    use std::time::Duration;
-
-    /// Placeholder descriptor type on platforms without raw fds.
-    pub type RawSocket = i32;
-
-    /// No raw descriptors off-Unix; the fallback poller never
-    /// dereferences them.
-    pub fn raw_fd(_stream: &TcpStream) -> RawSocket {
-        0
-    }
-
-    /// No resource limits to lift off-Unix.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        Ok(want)
-    }
-
-    /// Fallback waker: a channel send interrupts the poller's sleep.
-    #[derive(Clone)]
-    pub struct Waker {
-        tx: Sender<()>,
-    }
-
-    impl Waker {
-        /// Makes the paired poller's next (or current) `poll` return.
-        pub fn wake(&self) {
-            let _ = self.tx.send(());
-        }
-    }
-
-    /// Portable fallback poller: sleeps up to `timeout` (bounded to
-    /// 1ms so it stays live), then reports every registered token as
-    /// ready. Level-triggered and a superset of the true readiness
-    /// set, which is correct for nonblocking sockets — spurious reads
-    /// return `WouldBlock` and cost a syscall, not correctness.
-    pub struct Poller {
-        entries: BTreeMap<u64, (RawSocket, Interest)>,
-        rx: Receiver<()>,
-        waker: Waker,
-    }
-
-    impl Poller {
-        /// Creates a fallback poller.
-        pub fn new() -> io::Result<Poller> {
-            let (tx, rx) = channel();
-            Ok(Poller {
-                entries: BTreeMap::new(),
-                rx,
-                waker: Waker { tx },
-            })
-        }
-
-        /// A handle other threads can use to interrupt `poll`.
-        pub fn waker(&self) -> Waker {
-            self.waker.clone()
-        }
-
-        /// Starts watching `token` (readiness is assumed, not sensed).
-        pub fn register(&mut self, token: u64, fd: RawSocket, interest: Interest) {
-            self.entries.insert(token, (fd, interest));
-        }
-
-        /// Changes the recorded interest for `token`.
-        pub fn set_interest(&mut self, token: u64, interest: Interest) {
-            if let Some(entry) = self.entries.get_mut(&token) {
-                entry.1 = interest;
-            }
-        }
-
-        /// Stops watching `token` (idempotent).
-        pub fn deregister(&mut self, token: u64) {
-            self.entries.remove(&token);
-        }
-
-        /// How many descriptors are currently registered.
-        pub fn registered(&self) -> usize {
-            self.entries.len()
-        }
-
-        /// Sleeps briefly, then reports every registered token ready
-        /// for everything its interest covers.
-        pub fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            events.clear();
-            let nap = timeout.min(Duration::from_millis(1));
-            match self.rx.recv_timeout(nap) {
-                Ok(()) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {}
-            }
-            while self.rx.try_recv().is_ok() {}
-            for (&token, &(_, interest)) in &self.entries {
-                events.push(Event {
-                    token,
-                    readable: interest.read,
-                    writable: interest.write,
-                    hangup: false,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Upper bound on the poll timeout the gateway shard loop uses; keeps
 /// credit replenishment and deferred-admission passes running even on
 /// a completely idle shard.
@@ -445,7 +338,7 @@ mod tests {
 
         let mut events = Vec::new();
         poller.poll(&mut events, Duration::from_millis(1)).unwrap();
-        assert!(events.iter().all(|e| !e.readable) || cfg!(not(unix)));
+        assert!(events.iter().all(|e| !e.readable));
 
         client.write_all(b"ping").unwrap();
         client.flush().unwrap();

@@ -33,13 +33,15 @@
 //!   every tick with batch admission of whatever waited — a deferred
 //!   request is the same frame through the same engine entry point, a
 //!   tick later,
-//! * one **domain thread** ([`crate::DomainService`]) owns the in-process
-//!   [`DomainHost`], advances its virtual clock a slice per pump (once
-//!   per millisecond when idle, back to back while commands are queued),
-//!   and routes ordered deliveries back to the shard queues (replica
-//!   responses to the shard owning their group, gateway-group
-//!   coordination to every shard). Several gateways may share it — see
-//!   [`crate::GatewayPool`],
+//! * one **domain thread** owns this gateway's in-process domain (the
+//!   [`DomainBackend`] from [`GatewayBuilder::host`]), advances its
+//!   virtual clock a slice per pump (once per millisecond when idle,
+//!   back to back while commands are queued), and routes ordered
+//!   deliveries back to the shard queues (replica responses to the shard
+//!   owning their group, gateway-group coordination to every shard).
+//!   Every gateway owns exactly one domain; more than one gateway is a
+//!   gateway group ([`GatewayBuilder::group`]), each member with its own
+//!   domain replica,
 //! * optionally, a **metrics thread** serves `GET /metrics` (Prometheus
 //!   text), `GET /metrics.json`, and `GET /health` over a minimal
 //!   HTTP/1.0 responder on a separate admin listener (see
@@ -495,8 +497,7 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-pub(crate) type HostFactory =
-    Box<dyn FnOnce() -> ftd_core::Result<Box<dyn DomainBackend>> + Send + 'static>;
+type HostFactory = Box<dyn FnOnce() -> ftd_core::Result<Box<dyn DomainBackend>> + Send + 'static>;
 
 /// Builder for [`GatewayServer`] — the one way to start a gateway.
 ///
@@ -526,7 +527,6 @@ pub struct GatewayBuilder {
     admission: AdmissionPolicy,
     pins: Vec<(GroupId, usize)>,
     host: Option<HostFactory>,
-    domain: Option<DomainLink>,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     recorder: Option<Arc<Recorder>>,
@@ -603,12 +603,11 @@ impl GatewayBuilder {
         self
     }
 
-    /// Serve a private in-process domain produced by `factory` (run on
-    /// the domain thread — the simulated world never crosses threads).
-    /// Accepts any [`DomainBackend`]: the plain
+    /// Serve a private in-process domain produced by `factory` (required;
+    /// run on the gateway's own domain thread — the simulated world never
+    /// crosses threads). Accepts any [`DomainBackend`]: the plain
     /// [`DomainHost`](crate::DomainHost), a
-    /// [`DurableHost`](crate::DurableHost), or a test double. Mutually
-    /// exclusive with [`GatewayBuilder::domain`].
+    /// [`DurableHost`](crate::DurableHost), or a test double.
     pub fn host<B, E>(mut self, factory: impl FnOnce() -> Result<B, E> + Send + 'static) -> Self
     where
         B: DomainBackend,
@@ -643,14 +642,6 @@ impl GatewayBuilder {
         self
     }
 
-    /// Serve an already-running shared domain ([`DomainService::link`]) —
-    /// how [`crate::GatewayPool`] puts several gateways in front of one
-    /// domain. Mutually exclusive with [`GatewayBuilder::host`].
-    pub fn domain(mut self, link: DomainLink) -> Self {
-        self.domain = Some(link);
-        self
-    }
-
     /// Records every nondeterministic input crossing the gateway
     /// boundary — accepts, inbound GIOP messages, ring deliveries,
     /// engine clock reads, fault-plan events, recovery seeding — into an
@@ -659,8 +650,7 @@ impl GatewayBuilder {
     /// eagerly so [`GatewayBuilder::recorder`] can hand the live handle
     /// to a host factory (e.g. `DurableHost::open_recording`); a
     /// creation failure is deferred and surfaces at
-    /// [`GatewayBuilder::build`]. Requires an owned domain
-    /// ([`GatewayBuilder::host`]).
+    /// [`GatewayBuilder::build`].
     pub fn record_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         match Recorder::create(dir.into()) {
             Ok(rec) => self.recorder = Some(Arc::new(rec)),
@@ -681,17 +671,18 @@ impl GatewayBuilder {
     /// delivered reply to the live peers, and turns on
     /// [`EngineConfig::relay_replies`] so a surviving peer can answer a
     /// failed-over client's reissue byte-identically from its
-    /// relayed-response cache. Requires an owned domain
-    /// ([`GatewayBuilder::host`]) — each member replicates the domain
-    /// inputs into its *own* deterministic replica.
+    /// relayed-response cache. Each member replicates the domain inputs
+    /// into its *own* deterministic replica (its [`GatewayBuilder::host`]).
+    /// This is the one way to put more than one gateway in front of a
+    /// domain.
     pub fn group(mut self, options: GroupOptions) -> Self {
         self.group = Some(options);
         self
     }
 
-    /// Binds the listener, brings the domain up (when built with
-    /// [`GatewayBuilder::host`]), spawns the shard/accept/metrics
-    /// threads, and returns the serving gateway.
+    /// Binds the listener, brings the domain up on its own thread,
+    /// spawns the shard/accept/metrics threads, and returns the serving
+    /// gateway.
     pub fn build(self) -> ftd_core::Result<GatewayServer> {
         let mut config = self
             .config
@@ -699,18 +690,9 @@ impl GatewayBuilder {
         if let Some(e) = self.record_err {
             return Err(Error::Io(e));
         }
-        if self.recorder.is_some() && self.domain.is_some() {
-            return Err(Error::config(
-                "record_dir(..) requires an owned domain (.host(..)); \
-                 a shared .domain(..) link cannot be recorded",
-            ));
-        }
-        if self.group.is_some() && self.domain.is_some() {
-            return Err(Error::config(
-                "group(..) requires an owned domain (.host(..)): each group \
-                 member replicates the inputs into its own domain replica",
-            ));
-        }
+        let factory = self
+            .host
+            .ok_or_else(|| Error::config("GatewayServer::builder() requires .host(..)"))?;
         let shards = match self.shards {
             Some(0) => return Err(ShardError::ZeroShards.into()),
             Some(n) => n,
@@ -770,27 +752,8 @@ impl GatewayBuilder {
             )));
         }
 
-        let (domain, owned_domain) = match (self.domain, self.host) {
-            (Some(_), Some(_)) => {
-                return Err(Error::config(
-                    "GatewayServer::builder() takes .host(..) or .domain(..), not both",
-                ))
-            }
-            (Some(link), None) => (link, None),
-            (None, Some(factory)) => {
-                let service = DomainService::start_with_recorder(
-                    registry.clone(),
-                    factory,
-                    self.recorder.clone(),
-                )?;
-                (service.link(), Some(service))
-            }
-            (None, None) => {
-                return Err(Error::config(
-                    "GatewayServer::builder() requires .host(..) or .domain(..)",
-                ))
-            }
-        };
+        let domain_thread = DomainService::start(registry.clone(), factory, self.recorder.clone())?;
+        let domain = domain_thread.link();
 
         let shared = Arc::new(Shared {
             registry: registry.clone(),
@@ -967,27 +930,21 @@ impl GatewayBuilder {
             );
         }
 
-        // The domain fans ordered deliveries into the shard queues until
-        // this gateway flips its sink dead on shutdown.
-        let sink_alive = Arc::new(AtomicBool::new(true));
+        // The domain fans ordered deliveries into the shard queues. Its
+        // thread is stopped only after the shards are joined; a send to
+        // a joined shard's queue just fails.
         {
             let txs = shard_txs.clone();
             let sink_router = router.clone();
-            let alive = sink_alive.clone();
             domain.register_sink(Box::new(move |group, payload| {
-                if !alive.load(Ordering::SeqCst) {
-                    return false;
-                }
                 match classify_delivery(&sink_router, payload) {
-                    DeliveryRoute::Shard(i) => txs[i]
-                        .send(ShardEv::Delivery(group, payload.to_vec()))
-                        .is_ok(),
+                    DeliveryRoute::Shard(i) => {
+                        let _ = txs[i].send(ShardEv::Delivery(group, payload.to_vec()));
+                    }
                     DeliveryRoute::All => {
-                        let mut any = false;
                         for tx in &txs {
-                            any |= tx.send(ShardEv::Delivery(group, payload.to_vec())).is_ok();
+                            let _ = tx.send(ShardEv::Delivery(group, payload.to_vec()));
                         }
-                        any
                     }
                 }
             }));
@@ -1040,9 +997,8 @@ impl GatewayBuilder {
             shard_txs,
             router,
             domain,
-            owned_domain,
+            domain_thread,
             shared,
-            sink_alive,
             store,
             recorder: self.recorder,
             group_node,
@@ -1066,9 +1022,8 @@ pub struct GatewayServer {
     shard_txs: Vec<Sender<ShardEv>>,
     router: Arc<ShardRouter>,
     domain: DomainLink,
-    owned_domain: Option<DomainService>,
+    domain_thread: DomainService,
     shared: Arc<Shared>,
-    sink_alive: Arc<AtomicBool>,
     store: Option<Arc<GatewayStore>>,
     recorder: Option<Arc<Recorder>>,
     group_node: Option<Arc<GroupNode>>,
@@ -1102,7 +1057,6 @@ impl GatewayServer {
             admission: AdmissionPolicy::default(),
             pins: Vec::new(),
             host: None,
-            domain: None,
             data_dir: None,
             fsync: FsyncPolicy::Always,
             recorder: None,
@@ -1135,12 +1089,6 @@ impl GatewayServer {
     /// groups at runtime).
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// A handle to the domain behind this gateway (share it with further
-    /// gateways via [`GatewayBuilder::domain`]).
-    pub fn domain_link(&self) -> DomainLink {
-        self.domain.clone()
     }
 
     /// The replay recorder, when built with
@@ -1303,7 +1251,6 @@ impl GatewayServer {
             // caches see every reply before being flushed.
             self.domain.quiesce(Duration::from_secs(2));
         }
-        self.sink_alive.store(false, Ordering::SeqCst);
         for tx in &self.shard_txs {
             let _ = tx.send(ShardEv::Shutdown);
         }
@@ -1343,9 +1290,7 @@ impl GatewayServer {
         if let Some(node) = &self.group_node {
             node.stop(graceful);
         }
-        if let Some(domain) = self.owned_domain.take() {
-            domain.shutdown();
-        }
+        self.domain_thread.shutdown();
         *self.shared.shard_snapshots.lock().expect("snapshots lock") = shards.clone();
         self.report = Some(ShutdownReport {
             stats: stats_from_registry(&self.shared.registry),
@@ -1395,7 +1340,7 @@ impl Drop for GatewayServer {
 /// copy over exactly; histogram sample series are synthesized at bucket
 /// resolution with the exact count, min, and max preserved (`summary()`
 /// keeps working; percentiles degrade to bucket bounds).
-pub(crate) fn stats_from_registry(registry: &Registry) -> Stats {
+fn stats_from_registry(registry: &Registry) -> Stats {
     let snap = registry.snapshot();
     let mut stats = Stats::default();
     for (name, value) in &snap.counters {

@@ -6,15 +6,10 @@
 
 use ftd_core::EngineConfig;
 use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
-use ftd_net::{
-    DomainBackend, DomainHost, DomainService, DurableHost, GatewayServer, HostView, NetClient,
-};
-use ftd_obs::Registry;
-use ftd_sim::SimDuration;
+use ftd_net::{DomainHost, DurableHost, GatewayServer, NetClient};
 use ftd_store::FsyncPolicy;
 use ftd_totem::GroupId;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const GROUP: GroupId = GroupId(10);
 
@@ -206,50 +201,4 @@ fn durable_host_reports_recovery_and_rebuilds_state() {
         "replayed state is the sum of both adds"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// [`DomainService`] is generic over [`DomainBackend`]: a minimal test
-/// double (no ring, no replicas) can stand in for the whole domain —
-/// the trait is the API boundary the builders accept.
-#[test]
-fn domain_service_accepts_any_backend() {
-    struct NullBackend {
-        pumped: u64,
-    }
-    impl DomainBackend for NullBackend {
-        fn domain(&self) -> u32 {
-            99
-        }
-        fn gateway_group(&self) -> GroupId {
-            GroupId(0x4000_0063)
-        }
-        fn is_operational(&self) -> bool {
-            true
-        }
-        fn multicast(&mut self, _group: GroupId, _payload: Vec<u8>) {}
-        fn pump(&mut self, _d: SimDuration) -> Vec<(GroupId, Vec<u8>)> {
-            self.pumped += 1;
-            Vec::new()
-        }
-        fn view(&self) -> HostView {
-            HostView::default()
-        }
-        fn crash_processor(&mut self, _index: usize) -> bool {
-            false
-        }
-        fn recover_processor(&mut self, _index: usize) -> bool {
-            false
-        }
-        fn bind_stats(&mut self, _registry: Arc<Registry>) {}
-    }
-
-    let registry = Arc::new(Registry::new());
-    let service = DomainService::start(registry, || {
-        Ok::<_, ftd_core::Error>(NullBackend { pumped: 0 })
-    })
-    .expect("service starts on a test double");
-    let link = service.link();
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    assert!(link.healthy(), "health reflects the backend's answer");
-    service.shutdown();
 }

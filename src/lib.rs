@@ -48,8 +48,7 @@ pub mod prelude {
     };
     pub use ftd_giop::{GiopMessage, IiopProfile, Ior, ObjectKey, Reply, Request};
     pub use ftd_net::{
-        DomainFault, DomainHost, DomainLink, DomainService, GatewayPool, GatewayServer, HostError,
-        NetClient, RetryPolicy, ServerOptions,
+        DomainFault, DomainHost, GatewayServer, HostError, NetClient, RetryPolicy, ServerOptions,
     };
     pub use ftd_obs::{Clock, Histogram, ManualClock, RealClock, Registry};
     pub use ftd_sim::{
