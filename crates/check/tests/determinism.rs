@@ -33,6 +33,18 @@
 //! client partitioning, and the shared-domain handle are banned, as is
 //! the untested non-Unix poller fallback (the crate refuses to build off
 //! Unix instead).
+//!
+//! And it polices the single shard: `ftd_core::Shard` is the one place
+//! the admission and routing decisions live, hosted by `ftd-net`'s shard
+//! threads and driven directly by tests. The single-threaded composition
+//! that only claimed to route like the server, its fan-out filter, the
+//! admission credit pools and the host-side reply-latency stamps are
+//! banned.
+//!
+//! The same scanner also counts the code the simplicity reports quote:
+//! run `cargo test -p ftd-check --test determinism -- --nocapture
+//! code_lines` for the per-crate and total non-test code lines over
+//! `crates/*/src`.
 
 use std::path::{Path, PathBuf};
 
@@ -63,6 +75,19 @@ const SECOND_SCHEME: &[&str] = &[
     "ior_for_client",
     "fn domain_link",
     "cfg(not(unix))",
+];
+
+/// The deleted second shard (no allowlist): the single-threaded sharded
+/// engine and its shard type, their fan-out filter, the per-tick
+/// admission credits, and the host's per-connection latency stamps.
+const SECOND_SHARD: &[&str] = &[
+    "ShardedEngine",
+    "EngineShard",
+    "dedupe_fanout",
+    "requests_per_tick",
+    "bytes_per_tick",
+    "replenish_credits",
+    "pending_latency",
 ];
 
 const ALLOWED: &[&str] = &[
@@ -103,12 +128,10 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-/// Every code line under any crate's `src/` (outside `allowed`) that
-/// contains one of `banned`, as `path:line: text`.
-fn scan(banned: &[&str], allowed: &[&str]) -> Vec<String> {
-    let root = crates_root();
+/// Every `.rs` file under any crate's `src/`.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for crate_dir in std::fs::read_dir(&root).expect("list crates").flatten() {
+    for crate_dir in std::fs::read_dir(root).expect("list crates").flatten() {
         let src = crate_dir.path().join("src");
         rust_sources(&src, &mut files);
     }
@@ -117,6 +140,15 @@ fn scan(banned: &[&str], allowed: &[&str]) -> Vec<String> {
         "lint scanned suspiciously few files ({}) — wrong root?",
         files.len()
     );
+    files.sort();
+    files
+}
+
+/// Every code line under any crate's `src/` (outside `allowed`) that
+/// contains one of `banned`, as `path:line: text`.
+fn scan(banned: &[&str], allowed: &[&str]) -> Vec<String> {
+    let root = crates_root();
+    let files = crate_sources(&root);
 
     let mut violations = Vec::new();
     for file in &files {
@@ -173,4 +205,89 @@ fn the_second_gateway_scheme_stays_deleted() {
          (GatewayServer::builder().group(..)), each owning its own domain:\n{}",
         violations.join("\n")
     );
+}
+
+#[test]
+fn the_second_shard_stays_deleted() {
+    let violations = scan(SECOND_SHARD, &[]);
+    assert!(
+        violations.is_empty(),
+        "a retired name of the second shard implementation is back — the \
+         admission and routing decisions live in ftd_core::Shard (an \
+         in-flight window, no rate credits), and reply latency comes from \
+         the engine's Action::Latency:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Non-test code lines in one source text: lines with code left after
+/// `//` comments are stripped, outside `#[cfg(test)]` modules.
+fn code_lines(text: &str) -> usize {
+    let mut count = 0;
+    let mut test_attr = false;
+    let mut depth = 0usize; // brace depth inside a skipped test module
+    for line in text.lines() {
+        let code = code_part(line).trim();
+        if depth > 0 {
+            depth += code.matches('{').count();
+            depth -= code.matches('}').count().min(depth);
+            continue;
+        }
+        if code.is_empty() {
+            continue;
+        }
+        if test_attr && code.starts_with("mod ") && code.ends_with('{') {
+            depth = 1;
+            test_attr = false;
+            continue;
+        }
+        test_attr = code == "#[cfg(test)]";
+        if !test_attr {
+            count += 1;
+        }
+    }
+    count
+}
+
+#[test]
+fn code_lines_skip_comments_blanks_and_test_modules() {
+    let fixture = "\
+//! Module doc.
+use std::fmt; // trailing comment
+
+/// Item doc.
+fn f() -> &'static str {
+    \"{}\"
+}
+
+#[cfg(test)]
+mod tests {
+    fn g() {
+        if true {}
+    }
+}
+fn after() {}
+";
+    assert_eq!(code_lines(fixture), 5);
+}
+
+/// Prints per-file, per-crate and total non-test code lines over
+/// `crates/*/src` (see [`code_lines`]) under `--nocapture`.
+#[test]
+fn code_lines_per_crate() {
+    let root = crates_root();
+    let mut per_crate: std::collections::BTreeMap<String, usize> = Default::default();
+    for file in crate_sources(&root) {
+        let rel = file.strip_prefix(&root).expect("under crates/");
+        let krate = rel.iter().next().expect("crate dir");
+        let lines = code_lines(&std::fs::read_to_string(&file).expect("read source"));
+        println!("code_lines {} {lines}", rel.display());
+        *per_crate
+            .entry(krate.to_string_lossy().into_owned())
+            .or_default() += lines;
+    }
+    for (krate, lines) in &per_crate {
+        println!("code_lines {krate} {lines}");
+    }
+    println!("code_lines total {}", per_crate.values().sum::<usize>());
 }

@@ -77,6 +77,7 @@ pub use error::{Error, HostError, Result, ShardError};
 pub use gateway::{Gateway, GatewayConfig, StableCounters};
 pub use gwmsg::{GwMsg, GwMsgError};
 pub use shard::{
-    classify_client_frame, classify_delivery, dedupe_fanout, shard_of, DeliveryRoute, EngineShard,
-    MsgRoute, ShardRouter, ShardedEngine, DEFAULT_ROUTER_SLOTS, FANOUT_ONCE_COUNTERS,
+    classify_client_frame, classify_delivery, shard_of, DeliveryRoute, EngineCall, EngineTap,
+    MsgRoute, RecordedView, Shard, ShardOutput, ShardRouter, ShardSink, TickReport,
+    CONN_INBOUND_BUDGET, DEFAULT_ROUTER_SLOTS,
 };

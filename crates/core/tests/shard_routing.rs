@@ -4,11 +4,15 @@
 //! how many pins land concurrently, and the §3.2 per-group client-key
 //! counters must stay dense `1..=k` when `k` plain clients arrive.
 
-use ftd_core::{shard_of, Action, EngineConfig, GwConn, ShardRouter, ShardedEngine, SoloView};
+use ftd_core::{
+    shard_of, Action, EngineConfig, GatewayEngine, GwConn, RecordedView, Shard, ShardOutput,
+    ShardRouter,
+};
 use ftd_eternal::DomainMsg;
-use ftd_giop::{ByteOrder, Frame, GiopMessage, ObjectKey, Request};
+use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Request};
 use ftd_totem::GroupId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
@@ -117,16 +121,64 @@ fn request_for(conn_tag: u32, group: u32) -> GiopMessage {
     })
 }
 
-/// Feeds one message through the sharded engine as the wire frame a
-/// client speaking `order` would send.
-fn feed(
-    sharded: &mut ShardedEngine,
-    conn: GwConn,
-    msg: &GiopMessage,
-    order: ByteOrder,
-) -> Vec<Action> {
-    let wire = msg.encode(order);
-    sharded.on_client_frame(conn, Frame::parse(&wire).expect("one frame"), &SoloView)
+/// `SHARDS` shards over one router, as a gateway's shard threads run.
+fn fleet() -> (Arc<ShardRouter>, Vec<Shard>) {
+    let router = Arc::new(ShardRouter::new(SHARDS).unwrap());
+    let config = EngineConfig::new(0, GroupId(0x4000_0000), 0);
+    let shards = (0..SHARDS)
+        .map(|i| {
+            let engine = GatewayEngine::new(config.clone(), BTreeMap::new());
+            Shard::new(i, engine, router.clone(), 64, 0, None)
+        })
+        .collect();
+    (router, shards)
+}
+
+fn actions(out: Vec<ShardOutput>) -> Vec<Action> {
+    out.into_iter()
+        .filter_map(|o| match o {
+            ShardOutput::Action(a) => Some(a),
+            ShardOutput::Forward { .. } => None,
+        })
+        .collect()
+}
+
+/// Every shard hears of a new connection (the accept thread's fan-out).
+fn accept(shards: &mut [Shard], conn: GwConn) {
+    let budget = Arc::new(AtomicUsize::new(0));
+    let mut out = Vec::new();
+    for shard in shards.iter_mut() {
+        shard.on_accepted(conn, budget.clone(), &mut out);
+    }
+}
+
+/// Every shard hears of a closed connection.
+fn close(shards: &mut [Shard], conn: GwConn) -> Vec<Action> {
+    let mut out = Vec::new();
+    for shard in shards.iter_mut() {
+        shard.on_closed(conn, &mut out);
+    }
+    actions(out)
+}
+
+/// Feeds one message, as the wire frame a client speaking `order` would
+/// send, to the shard owning `conn`'s socket (round-robin by id, like
+/// the accept thread), and hands every forwarded copy to its
+/// destination shard as the server's channels do.
+fn feed(shards: &mut [Shard], conn: GwConn, msg: &GiopMessage, order: ByteOrder) -> Vec<Action> {
+    let view = RecordedView::default();
+    let mut out = Vec::new();
+    let owner = (conn.0 as usize - 1) % shards.len();
+    assert!(shards[owner].on_frame(conn, &msg.encode(order), &view, &mut out));
+    let mut i = 0;
+    while i < out.len() {
+        if let ShardOutput::Forward { shard, conn, wire } = &out[i] {
+            let (dest, conn, wire) = (*shard, *conn, wire.clone());
+            shards[dest].on_forwarded(conn, wire, &view, &mut out);
+        }
+        i += 1;
+    }
+    actions(out)
 }
 
 /// `k` plain clients per group, interleaved across groups in accept
@@ -137,8 +189,7 @@ fn feed(
 /// the domain carries the canonical big-endian request.
 #[test]
 fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
-    let config = EngineConfig::new(0, GroupId(0x4000_0000), 0);
-    let mut sharded = ShardedEngine::new(config, SHARDS).unwrap();
+    let (router, mut shards) = fleet();
     let groups = [GroupId(5), GroupId(11), GroupId(23), GroupId(42)];
     let k = 6u32;
 
@@ -152,9 +203,9 @@ fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
         for &g in &groups {
             conn += 1;
             let conn = GwConn(conn);
-            sharded.on_client_accepted(conn);
+            accept(&mut shards, conn);
             let request = request_for(round, g.0);
-            let actions = feed(&mut sharded, conn, &request, order);
+            let actions = feed(&mut shards, conn, &request, order);
             let forwarded: Vec<_> = actions
                 .iter()
                 .filter_map(|a| match a {
@@ -173,9 +224,9 @@ fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
     }
 
     for &g in &groups {
-        let owner = sharded.route(g);
-        for shard in 0..sharded.shard_count() {
-            let counter = sharded.shard(shard).counter_for(g);
+        let owner = router.route(g);
+        for (shard, s) in shards.iter().enumerate() {
+            let counter = s.engine().counter_for(g);
             if shard == owner {
                 assert_eq!(counter, k, "{g:?}: owner counter dense 1..={k}");
             } else {
@@ -191,13 +242,12 @@ fn per_group_client_key_counters_stay_dense_under_interleaved_accepts() {
 /// and a `MessageError` drops it everywhere at once.
 #[test]
 fn connection_lifecycle_frames_fan_out_to_every_shard() {
-    let config = EngineConfig::new(0, GroupId(0x4000_0000), 0);
-    let mut sharded = ShardedEngine::new(config, SHARDS).unwrap();
+    let (router, mut shards) = fleet();
     // Two groups on two different shards.
     let a = GroupId(5);
     let b = (6..GROUPS)
         .map(GroupId)
-        .find(|&g| sharded.route(g) != sharded.route(a))
+        .find(|&g| router.route(g) != router.route(a))
         .expect("some group hashes elsewhere");
     let multicasts_to = |actions: &[Action], to: GroupId| {
         actions
@@ -207,23 +257,18 @@ fn connection_lifecycle_frames_fan_out_to_every_shard() {
     };
 
     let graceful = GwConn(1);
-    sharded.on_client_accepted(graceful);
+    accept(&mut shards, graceful);
     for (id, g) in [(1, a), (2, b)] {
-        feed(
-            &mut sharded,
-            graceful,
-            &request_for(id, g.0),
-            ByteOrder::Big,
-        );
+        feed(&mut shards, graceful, &request_for(id, g.0), ByteOrder::Big);
     }
     let bye = feed(
-        &mut sharded,
+        &mut shards,
         graceful,
         &GiopMessage::CloseConnection,
         ByteOrder::Little,
     );
     assert!(bye.is_empty(), "CloseConnection only marks state: {bye:?}");
-    let closed = sharded.on_client_closed(graceful);
+    let closed = close(&mut shards, graceful);
     assert_eq!(
         multicasts_to(&closed, GroupId(0x4000_0000)),
         2,
@@ -231,9 +276,9 @@ fn connection_lifecycle_frames_fan_out_to_every_shard() {
     );
 
     let broken = GwConn(2);
-    sharded.on_client_accepted(broken);
+    accept(&mut shards, broken);
     let dropped = feed(
-        &mut sharded,
+        &mut shards,
         broken,
         &GiopMessage::MessageError,
         ByteOrder::Big,
@@ -244,7 +289,7 @@ fn connection_lifecycle_frames_fan_out_to_every_shard() {
         "every shard drops the connection"
     );
     assert!(
-        sharded.on_client_closed(broken).is_empty(),
+        close(&mut shards, broken).is_empty(),
         "no shard still knows the connection"
     );
 }

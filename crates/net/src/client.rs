@@ -93,7 +93,7 @@
 
 use ftd_core::Error;
 use ftd_giop::{
-    ByteOrder, FrameBuf, GiopMessage, Ior, Reply, Request, ServiceContext,
+    ByteOrder, FrameBuf, GiopMessage, Ior, Reply, Request, ServiceContext, FRAME_BUF_READ_CHUNK,
     FT_CLIENT_ID_SERVICE_CONTEXT,
 };
 use ftd_obs::{names, Registry};
@@ -111,6 +111,13 @@ pub const DEFAULT_MAX_CLIENT_INFLIGHT: usize = 8;
 /// Out-of-order replies retained for later claims; beyond this the
 /// oldest is dropped (a stray reply nobody will ever claim).
 const STRAY_REPLY_CAP: usize = 256;
+
+/// The live connection, or `NotConnected` between failover attempts.
+fn connected(stream: &mut Option<TcpStream>) -> io::Result<&mut TcpStream> {
+    stream
+        .as_mut()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "gateway connection down"))
+}
 
 /// How [`NetClient::invoke_retrying`] and a [`Pipeline`] survive
 /// connection failures: up to `retries` reissues of the in-flight
@@ -466,9 +473,23 @@ impl NetClient {
     }
 
     fn stream(&mut self) -> io::Result<&mut TcpStream> {
-        self.stream
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "gateway connection down"))
+        connected(&mut self.stream)
+    }
+
+    /// One read from the socket straight into the frame buffer's spare
+    /// room, as the gateway's reactor reads. EOF is an `UnexpectedEof`
+    /// error: the gateway hung up with a reply still owed.
+    fn fill(&mut self) -> io::Result<()> {
+        let stream = connected(&mut self.stream)?;
+        let n = stream.read(self.reader.spare(FRAME_BUF_READ_CHUNK))?;
+        self.reader.advance(n);
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "gateway hung up mid-reply",
+            ));
+        }
+        Ok(())
     }
 
     fn note_reissue(&mut self) {
@@ -593,16 +614,7 @@ impl NetClient {
                     _ => {}
                 }
             }
-            let mut buf = [0u8; 8 * 1024];
-            let n = self.stream()?.read(&mut buf)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "gateway hung up mid-reply",
-                )
-                .into());
-            }
-            self.reader.push(&buf[..n]);
+            self.fill()?;
         }
     }
 
@@ -618,13 +630,15 @@ impl NetClient {
             while let Some(_msg) = self.reader.next_message().map_err(Error::Giop)? {
                 extra += 1;
             }
-            let mut buf = [0u8; 8 * 1024];
-            match self.stream()?.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.reader.push(&buf[..n]),
+            match self.fill() {
+                Ok(()) => {}
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::UnexpectedEof
+                            | io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                    ) =>
                 {
                     break
                 }
@@ -806,16 +820,8 @@ impl<'a> Pipeline<'a> {
             if let Some(reply) = self.completed.remove(&id) {
                 return Ok(Some(reply));
             }
-            let mut buf = [0u8; 8 * 1024];
-            match self.client.stream()?.read(&mut buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "gateway hung up mid-reply",
-                    )
-                    .into())
-                }
-                Ok(n) => self.client.reader.push(&buf[..n]),
+            match self.client.fill() {
+                Ok(()) => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -842,16 +848,7 @@ impl<'a> Pipeline<'a> {
             if self.inflight.len() < before {
                 return Ok(());
             }
-            let mut buf = [0u8; 8 * 1024];
-            let n = self.client.stream()?.read(&mut buf)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "gateway hung up mid-reply",
-                )
-                .into());
-            }
-            self.client.reader.push(&buf[..n]);
+            self.client.fill()?;
         }
     }
 

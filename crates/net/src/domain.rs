@@ -18,7 +18,7 @@
 
 use crate::backend::{DomainBackend, GroupSnapshot};
 use crate::host::HostView;
-use ftd_core::Error;
+use ftd_core::{Error, RecordedView};
 use ftd_obs::{names, Registry};
 use ftd_sim::SimDuration;
 use ftd_totem::GroupId;
@@ -63,7 +63,7 @@ enum DomainCmd {
 
 struct DomainSharedState {
     healthy: AtomicBool,
-    view: Mutex<Arc<HostView>>,
+    view: Mutex<Arc<RecordedView>>,
 }
 
 /// A cloneable handle to a running [`DomainService`]. Cheap to clone;
@@ -92,8 +92,9 @@ impl DomainLink {
         let _ = self.tx.send(DomainCmd::Multicast(group, payload));
     }
 
-    /// The latest published [`DomainView`](ftd_core::DomainView) snapshot.
-    pub(crate) fn view(&self) -> Arc<HostView> {
+    /// The latest published [`DomainView`](ftd_core::DomainView)
+    /// snapshot, in the value form shards consult and recordings store.
+    pub(crate) fn view(&self) -> Arc<RecordedView> {
         self.shared.view.lock().expect("view lock").clone()
     }
 
@@ -164,7 +165,7 @@ impl DomainService {
         let (tx, rx) = mpsc::channel();
         let shared = Arc::new(DomainSharedState {
             healthy: AtomicBool::new(true),
-            view: Mutex::new(Arc::new(HostView::default())),
+            view: Mutex::new(Arc::new(RecordedView::default())),
         });
         let (ready_tx, ready_rx) = mpsc::channel::<ftd_core::Result<()>>();
         let thread_shared = shared.clone();
@@ -362,7 +363,7 @@ fn domain_loop<B: DomainBackend>(
         if published.as_ref() != Some(&current) {
             shared.healthy.store(current.0, Ordering::SeqCst);
             health_gauge.set(current.0 as i64);
-            *shared.view.lock().expect("view lock") = Arc::new(current.1.clone());
+            *shared.view.lock().expect("view lock") = Arc::new(recorded_view(&current.1));
             published = Some(current);
         }
 
@@ -379,6 +380,17 @@ fn domain_loop<B: DomainBackend>(
             digest: ftd_replay::hash_domain_state(&state),
             groups: state.len() as u32,
         });
+    }
+}
+
+/// Snapshots a [`HostView`] into the value type shards consult and the
+/// replay log stores inline with each engine event.
+fn recorded_view(view: &HostView) -> RecordedView {
+    let (peers, votes, replicas) = view.parts();
+    RecordedView {
+        peers: peers as u32,
+        votes,
+        replicas: replicas.into_iter().map(|(g, n)| (g, n as u32)).collect(),
     }
 }
 

@@ -314,8 +314,8 @@ mod imp {
 }
 
 /// Upper bound on the poll timeout the gateway shard loop uses; keeps
-/// credit replenishment and deferred-admission passes running even on
-/// a completely idle shard.
+/// the deferred-admission pass, lingered client GC and the stall reset
+/// running even on a completely idle shard.
 pub(crate) const MAX_POLL_TIMEOUT: Duration = Duration::from_millis(1);
 
 #[cfg(test)]

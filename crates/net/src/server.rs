@@ -10,29 +10,29 @@
 //!   socket nonblocking, and hands it to one shard (round-robin) for
 //!   ownership,
 //! * **N shard threads** (`GatewayServer::builder().shards(n)`, default
-//!   `std::thread::available_parallelism`) each own a [`GatewayEngine`]
-//!   with that shard's slice of the §3.2 client-id counters, §3.3
-//!   duplicate-suppression filter, and §3.5 response cache — plus a
-//!   readiness **reactor** (`poll(2)` via [`crate::Poller`]) over the
-//!   connections it owns. Readable sockets are drained into reusable
-//!   per-connection [`FrameBuf`]s and parsed **in place**. The complete
-//!   wire frame is the only form a client message takes between the
-//!   socket and the engine: a frame whose group routes to the owning
-//!   shard runs through [`GatewayEngine::on_client_frame`] on the
-//!   borrowed bytes when the admission gate is open (zero copy — the
-//!   raw big-endian frame *is* the multicast payload); a frame that
-//!   must outlive the read buffer — bound for another shard over the
-//!   lock-free [`ShardRouter`]'s queue, or waiting at a closed gate —
-//!   is copied once, as bytes, and re-parsed when its turn comes, so
-//!   what the domain receives never depends on how busy the gateway
-//!   was. Replies go through shared nonblocking writers with
-//!   partial-write queues: a slow client backs its own connection up
-//!   (and is disconnected past a bounded queue), never a shard thread.
-//!   Admission is **credit-based** ([`AdmissionPolicy`]): per-tick
-//!   request and byte credits plus an in-flight window, replenished
-//!   every tick with batch admission of whatever waited — a deferred
-//!   request is the same frame through the same engine entry point, a
-//!   tick later,
+//!   `std::thread::available_parallelism`) each host one sans-IO
+//!   [`Shard`]: a [`GatewayEngine`] with that shard's slice of the §3.2
+//!   client-id counters, §3.3 duplicate-suppression filter, and §3.5
+//!   response cache, plus every admission and routing decision around
+//!   it. The thread itself holds only sockets, buffers, writers,
+//!   channels and metrics: a readiness **reactor** (`poll(2)` via
+//!   [`crate::Poller`]) over the connections it owns drains readable
+//!   sockets into reusable per-connection [`FrameBuf`]s, hands each
+//!   complete frame to the shard **in place**, and applies what the
+//!   shard returns. A frame whose group routes to the owning shard runs
+//!   through [`GatewayEngine::on_client_frame`] on the borrowed bytes
+//!   when the admission window has room (zero copy — the raw big-endian
+//!   frame *is* the multicast payload); a frame that must outlive the
+//!   read buffer — bound for another shard over the lock-free
+//!   [`ShardRouter`]'s queue, or waiting for the window — is copied
+//!   once, as bytes, and re-parsed when its turn comes, so what the
+//!   domain receives never depends on how busy the gateway was. Replies
+//!   go through shared nonblocking writers with partial-write queues: a
+//!   slow client backs its own connection up (and is disconnected past
+//!   a bounded queue), never a shard thread. Admission is an in-flight
+//!   window ([`AdmissionPolicy`]) with an end-of-tick batch pass over
+//!   whatever waited — a deferred request is the same frame through the
+//!   same engine entry point, a tick later,
 //! * one **domain thread** owns this gateway's in-process domain (the
 //!   [`DomainBackend`] from [`GatewayBuilder::host`]), advances its
 //!   virtual clock a slice per pump (once per millisecond when idle,
@@ -75,20 +75,20 @@
 use crate::backend::DomainBackend;
 use crate::domain::{DomainFault, DomainLink, DomainService, TICK_REAL};
 use crate::group::GroupOptions;
-use crate::host::HostView;
 use crate::reactor::{raw_fd, Interest, Poller, Waker, MAX_POLL_TIMEOUT};
 use crate::relay::GroupRelay;
 use crate::store::GatewayStore;
+pub use ftd_core::CONN_INBOUND_BUDGET;
 use ftd_core::{
-    classify_client_frame, classify_delivery, Action, DeliveryRoute, EngineConfig, Error,
-    GatewayEngine, GwConn, MsgRoute, ShardError, ShardRouter, ENGINE_LATENCY_SERIES,
-    FANOUT_ONCE_COUNTERS,
+    classify_delivery, Action, DeliveryRoute, EngineConfig, EngineTap, Error, GatewayEngine,
+    GwConn, RecordedView, Shard, ShardError, ShardOutput, ShardRouter, ShardSink,
+    ENGINE_LATENCY_SERIES,
 };
 use ftd_eternal::{GatewayEndpoint, IorPublisher, OperationId};
-use ftd_giop::{ByteOrder, Frame, FrameBuf, GiopMessage, Ior, MsgType, FRAME_BUF_READ_CHUNK};
+use ftd_giop::{FrameBuf, Ior, FRAME_BUF_READ_CHUNK};
 use ftd_group::{FrameHandler, GroupConfig, GroupMember, GroupNode, PeerMesh};
 use ftd_obs::{names, Clock, Counter, Histogram, RealClock, Registry};
-use ftd_replay::{EngineSetup, RecordedView, Recorder, RecordingClock, ReplayEvent, ShardTap};
+use ftd_replay::{EngineSetup, Recorder, RecordingClock, ReplayEvent, ShardTap};
 use ftd_sim::Stats;
 use ftd_store::FsyncPolicy;
 use ftd_totem::GroupId;
@@ -102,13 +102,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Most bytes a single connection may have queued inside the gateway:
-/// frames waiting at its owning shard's admission gate plus frames
-/// forwarded to other shards and not yet processed. A client that
-/// outruns the gateway by more than this is disconnected
-/// (`net.queue_overflows`) instead of growing a queue without bound.
-pub const CONN_INBOUND_BUDGET: usize = 1 << 20;
-
 /// Most unsent reply bytes a connection's writer may queue while the
 /// client's socket refuses them. A client that stops reading while
 /// replies keep arriving is disconnected once the queue passes this,
@@ -119,29 +112,20 @@ const CONN_OUTBOUND_BUDGET: usize = 4 << 20;
 /// [`AdmissionPolicy::max_inflight`]).
 pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 
-/// If a shard's admission window stays full this long (microseconds of
-/// the gateway's base clock) with no reply progress (replies lost to
-/// chaos, oneway traffic), the window resets rather than wedging the
-/// shard.
-const STALL_RESET_US: u64 = 500_000;
-
 /// Per-shard admission control, accepted by
-/// [`GatewayBuilder::admission`]: an in-flight window plus per-tick
-/// request and byte **credits**. Every tick each shard's credits
-/// replenish; a request is admitted while the window has room *and*
-/// both credit pools are positive, and queues FIFO otherwise until the
-/// end-of-tick batch pass (deferral past a full tick is the exception,
-/// counted by `gateway.shard.deferrals`).
+/// [`GatewayBuilder::admission`]: an in-flight window. A request is
+/// admitted while the window has room and nothing waits ahead of it,
+/// and queues FIFO otherwise until the end-of-tick batch pass (deferral
+/// past a full tick is the exception, counted by
+/// `gateway.shard.deferrals`).
 ///
 /// The struct is `#[non_exhaustive]`; build one from
-/// [`AdmissionPolicy::default`] (or [`AdmissionPolicy::inflight_window`]
-/// for the pre-0.5 semantics) and the chainable setters:
+/// [`AdmissionPolicy::default`] or [`AdmissionPolicy::inflight_window`]
+/// and the chainable setter:
 ///
 /// ```
 /// use ftd_net::AdmissionPolicy;
-/// let policy = AdmissionPolicy::default()
-///     .max_inflight(64)
-///     .requests_per_tick(512);
+/// let policy = AdmissionPolicy::default().max_inflight(64);
 /// assert_eq!(policy.max_inflight, 64);
 /// ```
 #[derive(Debug, Clone)]
@@ -150,63 +134,27 @@ pub struct AdmissionPolicy {
     /// Most requests one shard may have inside the domain at once
     /// (admitted but unanswered). Default [`DEFAULT_MAX_INFLIGHT`].
     pub max_inflight: usize,
-    /// Request credits replenished per tick (count-denominated rate
-    /// limit). `u64::MAX` disables the dimension.
-    pub requests_per_tick: u64,
-    /// Byte credits replenished per tick (size-denominated rate limit,
-    /// charged at each admitted request's wire length). `u64::MAX`
-    /// disables the dimension.
-    pub bytes_per_tick: u64,
-    /// Credit replenishment period. Defaults to the shard tick (1ms);
-    /// clamped to at least 1µs.
-    pub tick: Duration,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
-        AdmissionPolicy {
-            max_inflight: DEFAULT_MAX_INFLIGHT,
-            requests_per_tick: 1024,
-            bytes_per_tick: 16 << 20,
-            tick: TICK_REAL,
-        }
+        AdmissionPolicy::inflight_window(DEFAULT_MAX_INFLIGHT)
     }
 }
 
 impl AdmissionPolicy {
-    /// The pre-0.5 admission semantics: a pure in-flight window of
-    /// `window` with both credit dimensions disabled — at most `window`
-    /// requests in the domain at once per shard, the rest deferred FIFO.
+    /// An in-flight window of `window` (clamped to at least 1): at most
+    /// `window` requests in the domain at once per shard, the rest
+    /// deferred FIFO.
     pub fn inflight_window(window: usize) -> Self {
         AdmissionPolicy {
             max_inflight: window.max(1),
-            requests_per_tick: u64::MAX,
-            bytes_per_tick: u64::MAX,
-            tick: TICK_REAL,
         }
     }
 
     /// Sets the in-flight window (clamped to at least 1).
     pub fn max_inflight(mut self, window: usize) -> Self {
         self.max_inflight = window.max(1);
-        self
-    }
-
-    /// Sets the per-tick request credits (clamped to at least 1).
-    pub fn requests_per_tick(mut self, requests: u64) -> Self {
-        self.requests_per_tick = requests.max(1);
-        self
-    }
-
-    /// Sets the per-tick byte credits (clamped to at least 1).
-    pub fn bytes_per_tick(mut self, bytes: u64) -> Self {
-        self.bytes_per_tick = bytes.max(1);
-        self
-    }
-
-    /// Sets the credit replenishment period.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
         self
     }
 }
@@ -223,6 +171,14 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
+    fn of(engine: &GatewayEngine) -> EngineSnapshot {
+        EngineSnapshot {
+            connected_clients: engine.connected_clients(),
+            duplicates_suppressed: engine.duplicates_suppressed(),
+            cached_responses: engine.cached_responses(),
+        }
+    }
+
     fn absorb(&mut self, other: &EngineSnapshot) {
         self.connected_clients += other.connected_clients;
         self.duplicates_suppressed += other.duplicates_suppressed;
@@ -586,10 +542,9 @@ impl GatewayBuilder {
         self
     }
 
-    /// Per-shard admission control: the in-flight window plus the
-    /// per-tick request/byte credits (default
+    /// Per-shard admission control: the in-flight window (default
     /// [`AdmissionPolicy::default`]). Total gateway admission capacity
-    /// is `shards × policy` — the knob behind multi-shard scaling.
+    /// is `shards × window` — the knob behind multi-shard scaling.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
         self
@@ -762,50 +717,52 @@ impl GatewayBuilder {
             shutdown: AtomicBool::new(false),
         });
 
-        // Create every engine before spawning its thread so recovered
+        // Create every shard before spawning its thread so recovered
         // state can be routed shard-by-shard (same routing the live
         // traffic uses: a group's counter and its replies land on the
         // shard that owns the group).
-        let mut engines: Vec<GatewayEngine> = (0..shards)
+        let linger_us = self
+            .group
+            .as_ref()
+            .map_or(0, |opts| opts.linger.as_micros() as u64);
+        let mut core_shards: Vec<Shard> = (0..shards)
             .map(|idx| {
                 let mut engine = GatewayEngine::new(config.clone(), BTreeMap::new());
                 // Recording wraps each engine's time source so every
                 // clock value the engine observes lands in the log; the
-                // host-side shard timing below stays on the base clock
-                // (replay never re-runs host code).
-                match &self.recorder {
-                    Some(rec) => engine.set_clock(Arc::new(RecordingClock::new(
-                        clock.clone(),
-                        rec.clone(),
-                        idx as u32,
-                    ))),
-                    None => engine.set_clock(clock.clone()),
-                }
-                engine
-            })
-            .collect();
-        let mut taps: Vec<Option<ShardTap>> = (0..shards)
-            .map(|idx| {
-                self.recorder
-                    .as_ref()
-                    .map(|rec| ShardTap::new(rec.clone(), idx as u32))
+                // host-side shard timing stays on the base clock (replay
+                // never re-runs host code).
+                let tap: Option<Box<dyn EngineTap>> = match &self.recorder {
+                    Some(rec) => {
+                        engine.set_clock(Arc::new(RecordingClock::new(
+                            clock.clone(),
+                            rec.clone(),
+                            idx as u32,
+                        )));
+                        Some(Box::new(ShardTap::new(rec.clone(), idx as u32)))
+                    }
+                    None => {
+                        engine.set_clock(clock.clone());
+                        None
+                    }
+                };
+                Shard::new(
+                    idx,
+                    engine,
+                    router.clone(),
+                    self.admission.max_inflight,
+                    linger_us,
+                    tap,
+                )
             })
             .collect();
         let store = match opened_store {
             Some((store, recovered)) => {
                 for (&server, &value) in &recovered.counters {
-                    let idx = router.route(GroupId(server));
-                    match taps[idx].as_mut() {
-                        Some(tap) => tap.seed_counter(&mut engines[idx], server, value),
-                        None => engines[idx].seed_counter(server, value),
-                    }
+                    core_shards[router.route(GroupId(server))].seed_counter(server, value);
                 }
                 for (op, reply) in &recovered.responses {
-                    let idx = router.route(op.target);
-                    match taps[idx].as_mut() {
-                        Some(tap) => tap.restore_response(&mut engines[idx], *op, reply.clone()),
-                        None => engines[idx].restore_cached_response(*op, reply.clone()),
-                    }
+                    core_shards[router.route(op.target)].restore_response(*op, reply.clone());
                 }
                 registry.add(
                     names::STORE_RESPONSES_RECOVERED,
@@ -828,7 +785,7 @@ impl GatewayBuilder {
         // threads spawn, so every shard is born holding the relay handle
         // and relayed frames (which land on the shard queues) can never
         // beat the queues' creation.
-        let (group_node, mesh, relay, linger_us) = match self.group {
+        let (group_node, mesh, relay) = match self.group {
             Some(opts) => {
                 let relay_listener = TcpListener::bind(&opts.relay_listen)?;
                 let mut gcfg = GroupConfig::new(opts.node);
@@ -875,14 +832,9 @@ impl GatewayBuilder {
                     .map_err(Error::Io)?,
                 );
                 relay.set_mesh(mesh.clone());
-                (
-                    Some(node),
-                    Some(mesh),
-                    Some(relay),
-                    opts.linger.as_micros() as u64,
-                )
+                (Some(node), Some(mesh), Some(relay))
             }
-            None => (None, None, None, 0),
+            None => (None, None, None),
         };
 
         // One reactor per shard, created before the threads spawn so the
@@ -897,36 +849,30 @@ impl GatewayBuilder {
         }
 
         let mut shard_threads = Vec::with_capacity(shards);
-        for (idx, (((engine, tap), rx), poller)) in engines
+        for (idx, ((shard, rx), poller)) in core_shards
             .into_iter()
-            .zip(taps.drain(..))
             .zip(shard_rxs.drain(..))
             .zip(pollers.drain(..))
             .enumerate()
         {
-            let shard = Shard::new(
+            let host = ShardHost::new(
                 idx,
-                engine,
-                &self.admission,
+                config.group,
                 poller,
                 doorbells[idx].clone(),
                 shard_txs.clone(),
-                router.clone(),
                 config.max_body,
                 domain.clone(),
                 registry.clone(),
                 store.clone(),
                 clock.clone(),
-                tap,
                 relay.clone(),
-                config.group,
-                linger_us,
             );
             let shard_shared = shared.clone();
             shard_threads.push(
                 thread::Builder::new()
                     .name(format!("ftd-gateway-shard-{idx}"))
-                    .spawn(move || shard_loop(shard, rx, shard_shared))?,
+                    .spawn(move || shard_loop(shard, host, rx, shard_shared))?,
             );
         }
 
@@ -1451,11 +1397,6 @@ struct ShardFinal {
     counters: BTreeMap<u32, u32>,
 }
 
-struct ConnEntry {
-    writer: Arc<ConnWriter>,
-    budget: Arc<AtomicUsize>,
-}
-
 /// The read half of a connection this shard owns: the nonblocking
 /// stream registered with the shard's reactor plus its reusable
 /// in-place frame buffer. Allocation is lazy ([`FrameBuf`] holds no
@@ -1468,45 +1409,26 @@ struct OwnedConn {
     fbuf: FrameBuf,
 }
 
-/// A frame queued for admission: the connection and the complete wire
-/// frame, whose length is both the budget to release and the byte
-/// credits to charge when it is admitted.
-type Queued = (u64, Box<[u8]>);
-
-/// One engine shard's working state, owned by its thread.
-struct Shard {
+/// One shard thread's I/O half beside its sans-IO [`Shard`]: sockets,
+/// frame buffers, writers, channels and metrics. Every decision is the
+/// shard's; this is the [`ShardSink`] that applies each of its outputs
+/// as it arrives.
+struct ShardHost {
     idx: usize,
-    engine: GatewayEngine,
-    conns: BTreeMap<u64, ConnEntry>,
+    /// The engine's gateway group — multicasts addressed to it are peer
+    /// coordination and travel the mesh *only* (each process's domain is
+    /// private; a peer cannot hear the local domain's deliveries).
+    gw_group: GroupId,
+    writers: BTreeMap<u64, Arc<ConnWriter>>,
     /// Connections whose read half this shard's reactor owns.
     owned: BTreeMap<u64, OwnedConn>,
     poller: Poller,
     doorbell: Arc<Doorbell>,
     shard_txs: Vec<Sender<ShardEv>>,
-    router: Arc<ShardRouter>,
     max_body: usize,
-    /// Requests deferred past a full tick, FIFO.
-    deferred: VecDeque<Queued>,
-    window: usize,
-    inflight: usize,
-    /// Per-tick admission credits ([`AdmissionPolicy`]): requests and
-    /// bytes remaining this tick, the replenishment amounts, and the
-    /// base-clock stamp of the last replenishment.
-    credit_reqs: u64,
-    credit_bytes: u64,
-    reqs_per_tick: u64,
-    bytes_per_tick: u64,
-    credit_tick_us: u64,
-    last_replenish_us: u64,
-    /// Base-clock stamp of the last admission-window progress. Host-side
-    /// timing deliberately bypasses any recording clock: replay re-drives
-    /// the engine, not the shard loop.
-    last_progress_us: u64,
-    /// Requests forwarded into the domain and not yet answered, oldest
-    /// first (base-clock micros), for the reply-latency metric.
-    pending_latency: VecDeque<(u64, u64)>,
+    /// The gateway's base clock. Host-side timing deliberately bypasses
+    /// any recording clock: replay re-drives the engine, not this loop.
     clock: Arc<dyn Clock>,
-    tap: Option<ShardTap>,
     domain: DomainLink,
     registry: Arc<Registry>,
     store: Option<Arc<GatewayStore>>,
@@ -1514,16 +1436,6 @@ struct Shard {
     /// multicasts go through the group sequencer, not straight to the
     /// local domain.
     relay: Option<Arc<GroupRelay>>,
-    /// The engine's gateway group — multicasts addressed to it are peer
-    /// coordination and travel the mesh *only* (each process's domain is
-    /// private; a peer cannot hear the local domain's deliveries).
-    gw_group: GroupId,
-    /// How long a peer's client-gone notice lingers before the GC runs.
-    linger_us: u64,
-    /// Deferred peer client-gone payloads: `(deadline_us, GwMsg bytes)`,
-    /// FIFO (notices arrive in real-time order, so deadlines are
-    /// monotone).
-    gone_queue: VecDeque<(u64, Vec<u8>)>,
     counters: BTreeMap<&'static str, Arc<Counter>>,
     latency: BTreeMap<u32, Arc<Histogram>>,
     reply_latency: Arc<Histogram>,
@@ -1535,98 +1447,45 @@ struct Shard {
     m_wakeups: Arc<Counter>,
 }
 
-impl Shard {
+impl ShardHost {
     #[allow(clippy::too_many_arguments)]
     fn new(
         idx: usize,
-        engine: GatewayEngine,
-        admission: &AdmissionPolicy,
+        gw_group: GroupId,
         poller: Poller,
         doorbell: Arc<Doorbell>,
         shard_txs: Vec<Sender<ShardEv>>,
-        router: Arc<ShardRouter>,
         max_body: usize,
         domain: DomainLink,
         registry: Arc<Registry>,
         store: Option<Arc<GatewayStore>>,
         clock: Arc<dyn Clock>,
-        tap: Option<ShardTap>,
         relay: Option<Arc<GroupRelay>>,
-        gw_group: GroupId,
-        linger_us: u64,
-    ) -> Shard {
-        let bytes_in = registry.counter("net.bytes_in");
-        let bytes_out = registry.counter("net.bytes_out");
-        let reply_latency = registry.histogram("net.reply_latency_us");
-        let m_events = registry.counter(&names::with_shard(names::GATEWAY_SHARD_EVENTS, idx));
-        let m_deferrals = registry.counter(&names::with_shard(names::GATEWAY_SHARD_DEFERRALS, idx));
-        let m_tick_admits =
-            registry.counter(&names::with_shard(names::GATEWAY_SHARD_TICK_ADMITS, idx));
-        let m_wakeups = registry.counter(names::NET_REACTOR_WAKEUPS);
-        let now_us = clock.now_micros();
-        Shard {
+    ) -> ShardHost {
+        let shard_counter = |name| registry.counter(&names::with_shard(name, idx));
+        ShardHost {
             idx,
-            engine,
-            conns: BTreeMap::new(),
+            gw_group,
+            writers: BTreeMap::new(),
             owned: BTreeMap::new(),
             poller,
             doorbell,
             shard_txs,
-            router,
             max_body,
-            deferred: VecDeque::new(),
-            window: admission.max_inflight.max(1),
-            inflight: 0,
-            credit_reqs: admission.requests_per_tick.max(1),
-            credit_bytes: admission.bytes_per_tick.max(1),
-            reqs_per_tick: admission.requests_per_tick.max(1),
-            bytes_per_tick: admission.bytes_per_tick.max(1),
-            credit_tick_us: (admission.tick.as_micros() as u64).max(1),
-            last_replenish_us: now_us,
-            last_progress_us: now_us,
-            pending_latency: VecDeque::new(),
             clock,
-            tap,
             domain,
-            registry,
             store,
             relay,
-            gw_group,
-            linger_us,
-            gone_queue: VecDeque::new(),
             counters: BTreeMap::new(),
             latency: BTreeMap::new(),
-            reply_latency,
-            bytes_in,
-            bytes_out,
-            m_events,
-            m_deferrals,
-            m_tick_admits,
-            m_wakeups,
-        }
-    }
-
-    /// Whether the admission gate is open: window room plus positive
-    /// request and byte credits.
-    fn admit_ready(&self) -> bool {
-        self.inflight < self.window && self.credit_reqs > 0 && self.credit_bytes > 0
-    }
-
-    /// Charges one admitted request of `wire_len` bytes against the
-    /// tick's credits.
-    fn consume_credits(&mut self, wire_len: usize) {
-        self.credit_reqs = self.credit_reqs.saturating_sub(1);
-        self.credit_bytes = self.credit_bytes.saturating_sub(wire_len as u64);
-    }
-
-    /// Refills both credit pools once per [`AdmissionPolicy::tick`].
-    /// Credits do not carry over — each tick grants a fresh window, so
-    /// a long idle period cannot bank an admission burst.
-    fn replenish_credits(&mut self, now_us: u64) {
-        if now_us.saturating_sub(self.last_replenish_us) >= self.credit_tick_us {
-            self.credit_reqs = self.reqs_per_tick;
-            self.credit_bytes = self.bytes_per_tick;
-            self.last_replenish_us = now_us;
+            reply_latency: registry.histogram("net.reply_latency_us"),
+            bytes_in: registry.counter("net.bytes_in"),
+            bytes_out: registry.counter("net.bytes_out"),
+            m_events: shard_counter(names::GATEWAY_SHARD_EVENTS),
+            m_deferrals: shard_counter(names::GATEWAY_SHARD_DEFERRALS),
+            m_tick_admits: shard_counter(names::GATEWAY_SHARD_TICK_ADMITS),
+            m_wakeups: registry.counter(names::NET_REACTOR_WAKEUPS),
+            registry,
         }
     }
 
@@ -1656,13 +1515,14 @@ impl Shard {
     }
 
     /// Reads everything the socket has, parsing frames in place and
-    /// dispatching each one. Returns to the caller once the socket
-    /// would block; EOF, errors, and protocol violations release the
-    /// connection.
-    fn on_readable(&mut self, id: u64, arrivals: &mut VecDeque<Queued>) {
+    /// handing each one to the shard. Returns to the caller once the
+    /// socket would block; EOF, errors, and the shard's closes release
+    /// the connection.
+    fn on_readable(&mut self, shard: &mut Shard, id: u64, view: &RecordedView) {
         let Some(mut oc) = self.owned.remove(&id) else {
             return;
         };
+        let conn = GwConn(id);
         let mut alive = true;
         'fill: loop {
             let want;
@@ -1686,20 +1546,14 @@ impl Shard {
             oc.fbuf.advance(n);
             self.bytes_in.add(n as u64);
             loop {
-                match oc.fbuf.next_span() {
-                    Ok(Some(span)) => {
-                        if !self.on_wire_frame(id, &oc.fbuf.bytes()[span], arrivals) {
-                            alive = false;
-                            break 'fill;
-                        }
-                    }
+                let alive_now = match oc.fbuf.next_span() {
+                    Ok(Some(span)) => shard.on_frame(conn, &oc.fbuf.bytes()[span], view, self),
                     Ok(None) => break,
-                    Err(_) => {
-                        // Framing failure: answer MessageError and drop
-                        // the connection (§3.3).
-                        alive = self.protocol_close(id);
-                        break 'fill;
-                    }
+                    Err(_) => shard.on_protocol_error(conn, self),
+                };
+                if !alive_now {
+                    alive = false;
+                    break 'fill;
                 }
             }
             if n < want {
@@ -1717,154 +1571,16 @@ impl Shard {
         }
     }
 
-    /// Dispatches one complete wire frame read off an owned connection:
-    /// classify it in place, forward a copy to whichever other shard
-    /// owns its state, and run what is bound for this shard through
-    /// [`Shard::process_frame`] — at once when the admission gate is
-    /// open, from the admission queue otherwise. Returns `false` when
-    /// the connection must close (protocol violation or budget blown).
-    fn on_wire_frame(&mut self, id: u64, wire: &[u8], arrivals: &mut VecDeque<Queued>) -> bool {
-        let Ok(frame) = Frame::parse(wire) else {
-            return self.protocol_close(id);
-        };
-        let dest = match classify_client_frame(&frame) {
-            Ok(MsgRoute::Group(group)) => self.router.route(group),
-            Ok(MsgRoute::Any) => 0,
-            Ok(MsgRoute::All) => {
-                for dest in 0..self.shard_txs.len() {
-                    if dest != self.idx && !self.forward(id, dest, wire) {
-                        return false;
-                    }
-                }
-                self.idx
-            }
-            Err(_) => return self.protocol_close(id),
-        };
-        if dest != self.idx {
-            return self.forward(id, dest, wire);
-        }
-        if frame.msg_type() != MsgType::Request {
-            self.process_frame(id, frame);
-            return true;
-        }
-        if self.must_queue(arrivals) {
-            // Gate closed (or FIFO fairness behind earlier waiters): the
-            // borrowed bytes cannot outlive this read, so the queue
-            // takes the one copy.
-            if !self.charge(id, wire.len()) {
-                return false;
-            }
-            arrivals.push_back((id, wire.into()));
-            return true;
-        }
-        self.consume_credits(wire.len());
-        self.process_frame(id, frame);
-        true
-    }
-
-    /// Whether a Request must wait its turn: the admission gate is
-    /// closed, or earlier requests are already waiting (FIFO fairness).
-    fn must_queue(&self, arrivals: &VecDeque<Queued>) -> bool {
-        !(self.deferred.is_empty() && arrivals.is_empty() && self.admit_ready())
-    }
-
-    /// Charges `cost` queued bytes to the connection's inbound budget.
-    /// A client outrunning the gateway past [`CONN_INBOUND_BUDGET`] is
-    /// disconnected (`false`), protecting every other client from its
-    /// backlog.
-    fn charge(&mut self, id: u64, cost: usize) -> bool {
-        let Some(entry) = self.conns.get(&id) else {
-            return true;
-        };
-        if entry.budget.fetch_add(cost, Ordering::SeqCst) + cost <= CONN_INBOUND_BUDGET {
-            return true;
-        }
-        entry.writer.close();
-        self.counter(names::NET_QUEUE_OVERFLOWS).inc();
-        false
-    }
-
-    /// Forwards a copy of one wire frame to another shard, charged to
-    /// the connection's inbound budget.
-    fn forward(&mut self, id: u64, dest: usize, wire: &[u8]) -> bool {
-        if !self.charge(id, wire.len()) {
-            return false;
-        }
-        let _ = self.shard_txs[dest].send(ShardEv::Msg(id, wire.into()));
-        true
-    }
-
-    /// Admits one frame out of a queue (the cross-shard channel, this
-    /// tick's arrivals, or the deferral FIFO): releases its budget,
-    /// charges a Request's credits unless the shard is draining for
-    /// shutdown, and runs it through the engine.
-    fn admit_queued(&mut self, id: u64, wire: &[u8], charge_credits: bool) {
-        if let Some(entry) = self.conns.get(&id) {
-            entry.budget.fetch_sub(wire.len(), Ordering::SeqCst);
-        }
-        // Validated by the owning shard before it was queued.
-        let Ok(frame) = Frame::parse(wire) else {
-            return;
-        };
-        if charge_credits && frame.msg_type() == MsgType::Request {
-            self.consume_credits(wire.len());
-        }
-        self.process_frame(id, frame);
-    }
-
-    /// Answers a framing/protocol failure with MessageError and closes
-    /// the connection. Always returns `false` (the caller releases it).
-    fn protocol_close(&mut self, id: u64) -> bool {
-        self.counter("gateway.protocol_errors").inc();
-        if let Some(entry) = self.conns.get(&id) {
-            entry
-                .writer
-                .write(&GiopMessage::MessageError.encode(ByteOrder::Big));
-            entry.writer.close();
-        }
-        false
-    }
-
-    /// Runs one frame through the engine (recorded when a tap is
-    /// attached) and applies the resulting actions.
-    fn process_frame(&mut self, id: u64, frame: Frame<'_>) {
-        if !self.conns.contains_key(&id) {
-            // The connection closed while this frame sat queued (the
-            // Closed purge races the admission drain); never resurrect
-            // it through the engine's auto-registration.
-            return;
-        }
-        let view = self.domain.view();
-        let actions = match self.tap.as_mut() {
-            Some(tap) => {
-                let rv = recorded_view(&view);
-                tap.on_frame(&mut self.engine, GwConn(id), frame, &rv)
-            }
-            None => self.engine.on_client_frame(GwConn(id), frame, &*view),
-        };
-        let forwarded = actions
-            .iter()
-            .filter(|a| matches!(a, Action::Multicast { .. }))
-            .count();
-        if forwarded > 0 {
-            let now_us = self.clock.now_micros();
-            for _ in 0..forwarded {
-                self.pending_latency.push_back((id, now_us));
-            }
-        }
-        self.apply(actions);
-    }
-
     /// Write readiness on an owned connection: drain its writer's
     /// queue, dropping write interest once empty.
     fn on_writable(&mut self, id: u64) {
-        let Some(entry) = self.conns.get(&id) else {
+        let Some(writer) = self.writers.get(&id) else {
             return;
         };
-        match entry.writer.flush() {
+        match writer.flush() {
             WriteState::Drained => self.poller.set_interest(id, Interest::READ),
             WriteState::Pending => {}
-            WriteState::Failed => entry.writer.close(),
+            WriteState::Failed => writer.close(),
         }
     }
 
@@ -1873,7 +1589,7 @@ impl Shard {
     fn drain_doorbell(&mut self) {
         for id in self.doorbell.drain() {
             if self.owned.contains_key(&id)
-                && self.conns.get(&id).is_some_and(|e| e.writer.has_pending())
+                && self.writers.get(&id).is_some_and(|w| w.has_pending())
             {
                 self.poller.set_interest(id, Interest::READ_WRITE);
             }
@@ -1897,156 +1613,93 @@ impl Shard {
             .clone()
     }
 
-    fn apply(&mut self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::ToClient { conn, bytes } => {
-                    if let Some(pos) = self.pending_latency.iter().position(|&(c, _)| c == conn.0) {
-                        let (_, since_us) =
-                            self.pending_latency.remove(pos).expect("position valid");
-                        self.reply_latency
-                            .observe(self.clock.now_micros().saturating_sub(since_us));
-                    }
-                    if let Some(entry) = self.conns.get(&conn.0) {
-                        if entry.writer.write(&bytes) {
-                            self.bytes_out.add(bytes.len() as u64);
-                        } else {
-                            entry.writer.close();
-                        }
+    fn apply(&mut self, action: Action) {
+        match action {
+            Action::ToClient { conn, bytes } => {
+                if let Some(writer) = self.writers.get(&conn.0) {
+                    if writer.write(&bytes) {
+                        self.bytes_out.add(bytes.len() as u64);
+                    } else {
+                        writer.close();
                     }
                 }
-                Action::CloseClient { conn } => {
-                    if let Some(entry) = self.conns.get(&conn.0) {
-                        entry.writer.close();
+            }
+            Action::CloseClient { conn } => {
+                if let Some(writer) = self.writers.get(&conn.0) {
+                    writer.close();
+                }
+            }
+            Action::Multicast { group, payload } => match &self.relay {
+                // Gateway-group coordination (Record / ClientGone /
+                // PeerReply) in an out-of-process group rides the mesh
+                // only: the local domain is private to this process, so
+                // multicasting it there reaches no peer, and the engine
+                // already applied the local effect.
+                Some(relay) if group == self.gw_group => {
+                    relay.relay_gateway(payload);
+                }
+                // A server-group invocation goes through the group
+                // sequencer: the leader stamps it into the total order
+                // and every member (this one included) applies it at its
+                // sequence — non-commutative workloads converge
+                // byte-identically.
+                Some(relay) => relay.submit(group, payload),
+                None => self.domain.multicast(group, payload),
+            },
+            Action::BridgeConnect { .. } | Action::ToBridge { .. } => {
+                // The net front end serves a single domain; it has no
+                // wide-area routes, so the engine never targets a peer
+                // domain unless misconfigured.
+                self.counter("net.bridge_unrouted").inc();
+            }
+            Action::PersistResponse { operation, reply } => {
+                // The engine emits this *before* the ToClient carrying
+                // the same reply, so the WAL append completes before the
+                // client can observe the answer — which is what makes the
+                // recovered cache trustworthy after a crash.
+                if let Some(store) = &self.store {
+                    if store.persist_response(&operation, &reply).is_err() {
+                        self.counter("net.store_append_errors").inc();
                     }
                 }
-                Action::Multicast { group, payload } => match &self.relay {
-                    // Gateway-group coordination (Record / ClientGone /
-                    // PeerReply) in an out-of-process group rides the
-                    // mesh only: the local domain is private to this
-                    // process, so multicasting it there reaches no peer,
-                    // and the engine already applied the local effect.
-                    Some(relay) if group == self.gw_group => {
-                        relay.relay_gateway(payload);
-                    }
-                    // A server-group invocation goes through the group
-                    // sequencer: the leader stamps it into the total
-                    // order and every member (this one included) applies
-                    // it at its sequence — non-commutative workloads
-                    // converge byte-identically.
-                    Some(relay) => relay.submit(group, payload),
-                    None => self.domain.multicast(group, payload),
-                },
-                Action::BridgeConnect { .. } | Action::ToBridge { .. } => {
-                    // The net front end serves a single domain; it has no
-                    // wide-area routes, so the engine never targets a peer
-                    // domain unless misconfigured.
-                    self.counter("net.bridge_unrouted").inc();
-                }
-                Action::PersistResponse { operation, reply } => {
-                    // The engine emits this *before* the ToClient carrying
-                    // the same reply, so the WAL append completes before
-                    // the client can observe the answer — which is what
-                    // makes the recovered cache trustworthy after a crash.
-                    if let Some(store) = &self.store {
-                        if store.persist_response(&operation, &reply).is_err() {
-                            self.counter("net.store_append_errors").inc();
-                        }
+            }
+            Action::PersistCounter { server, value } => {
+                // Without a data dir there is no stable store and
+                // counters restart with the process (warm-gateway
+                // configuration). Recovery max-merges counter values, so
+                // a lost append is harmless — it only counts.
+                if let Some(store) = &self.store {
+                    if store.persist_counter(server, value).is_err() {
+                        self.counter("net.store_append_errors").inc();
                     }
                 }
-                Action::PersistCounter { server, value } => {
-                    // Without a data dir there is no stable store and
-                    // counters restart with the process (warm-gateway
-                    // configuration). Recovery max-merges counter values,
-                    // so a lost append is harmless — it only counts.
-                    if let Some(store) = &self.store {
-                        if store.persist_counter(server, value).is_err() {
-                            self.counter("net.store_append_errors").inc();
-                        }
-                    }
-                }
-                Action::Count { counter } => {
-                    // Connection lifecycle events fan to every shard; only
-                    // shard 0 counts them, so `gateway.clients_accepted`
-                    // still means connections, not connections × shards.
-                    if self.idx == 0 || !FANOUT_ONCE_COUNTERS.contains(&counter) {
-                        self.counter(counter).inc();
-                    }
-                    match counter {
-                        "gateway.requests_forwarded" | "gateway.bridge_requests" => {
-                            self.inflight += 1;
-                        }
-                        // One admission is freed per *operation*, on its
-                        // first reply; the suppressed duplicates from the
-                        // other replicas must not free slots never taken.
-                        "gateway.replies_delivered" | "gateway.bridge_replies" => {
-                            self.inflight = self.inflight.saturating_sub(1);
-                            self.last_progress_us = self.clock.now_micros();
-                        }
-                        "gateway.duplicate_responses_suppressed" => {
-                            self.last_progress_us = self.clock.now_micros();
-                        }
-                        _ => {}
-                    }
-                }
-                Action::Latency { group, micros } => {
-                    self.latency_hist(group.0).observe(micros);
-                }
-                Action::Divergence { group, seq, member } => {
-                    self.counter(names::GROUP_DIVERGENCE).inc();
-                    eprintln!(
-                        "ftd-gateway: response divergence: group {group} response #{seq} \
-                         disagrees with member {member}"
-                    );
-                }
-                Action::Fence => {
-                    // The engine found ≥2 peers disagreeing with its
-                    // responses: this member is the minority. Leave the
-                    // membership view (peers and the IOR stop naming
-                    // us); the engine already sheds clients itself.
-                    if let Some(relay) = &self.relay {
-                        relay.fence();
-                    }
+            }
+            Action::Count { counter } => self.counter(counter).inc(),
+            Action::Latency { group, micros } => {
+                self.latency_hist(group.0).observe(micros);
+                self.reply_latency.observe(micros);
+            }
+            Action::Divergence { group, seq, member } => {
+                self.counter(names::GROUP_DIVERGENCE).inc();
+                eprintln!(
+                    "ftd-gateway: response divergence: group {group} response #{seq} \
+                     disagrees with member {member}"
+                );
+            }
+            Action::Fence => {
+                // The engine found ≥2 peers disagreeing with its
+                // responses: this member is the minority. Leave the
+                // membership view (peers and the IOR stop naming us);
+                // the engine already sheds clients itself.
+                if let Some(relay) = &self.relay {
+                    relay.fence();
                 }
             }
         }
     }
 
-    /// Runs one ordered delivery through the engine (recorded when a
-    /// tap is attached) and applies the resulting actions. Used for
-    /// domain deliveries, relayed peer frames, and lingered client-GC
-    /// notices alike — they all replay identically.
-    fn process_delivery(&mut self, group: GroupId, payload: &[u8]) {
-        let view = self.domain.view();
-        let actions = match self.tap.as_mut() {
-            Some(tap) => {
-                let rv = recorded_view(&view);
-                tap.on_delivery(&mut self.engine, group, payload, &rv)
-            }
-            None => self.engine.on_delivery_from_domain(group, payload, &*view),
-        };
-        self.apply(actions);
-    }
-
-    /// Garbage collects peer clients whose linger expired: their
-    /// [`GwMsg::ClientGone`] payloads finally reach the engine through
-    /// the ordinary (recorded) delivery path.
-    fn drain_expired_gone(&mut self) {
-        if self.gone_queue.is_empty() {
-            return;
-        }
-        let now_us = self.clock.now_micros();
-        while let Some(&(deadline_us, _)) = self.gone_queue.front() {
-            if deadline_us > now_us {
-                break;
-            }
-            let (_, payload) = self.gone_queue.pop_front().expect("non-empty gone queue");
-            self.process_delivery(self.gw_group, &payload);
-        }
-    }
-
-    fn publish(&mut self, shared: &Shared) {
-        let snapshot = self.snapshot();
+    fn publish(&mut self, shard: &Shard, shared: &Shared) {
+        let snapshot = EngineSnapshot::of(shard.engine());
         let mut total = EngineSnapshot::default();
         {
             let mut all = shared.shard_snapshots.lock().expect("snapshots lock");
@@ -2056,7 +1709,8 @@ impl Shard {
             }
         }
         if self.relay.is_some() {
-            shared.digests.lock().expect("digests lock")[self.idx] = self.engine.response_digests();
+            shared.digests.lock().expect("digests lock")[self.idx] =
+                shard.engine().response_digests();
         }
         self.registry
             .set_gauge("gateway.connected_clients", total.connected_clients as i64);
@@ -2064,7 +1718,7 @@ impl Shard {
             .set_gauge("gateway.cached_responses", total.cached_responses as i64);
         self.registry.set_gauge(
             &names::with_shard(names::GATEWAY_SHARD_INFLIGHT, self.idx),
-            self.inflight as i64,
+            shard.inflight() as i64,
         );
         self.registry.set_gauge(
             &names::with_shard(names::NET_REACTOR_FDS, self.idx),
@@ -2072,91 +1726,69 @@ impl Shard {
         );
         if self.idx == 0 {
             self.registry
-                .set_gauge("net.open_connections", self.conns.len() as i64);
+                .set_gauge("net.open_connections", self.writers.len() as i64);
             self.registry
                 .set_gauge(names::GATEWAY_HEALTH, self.domain.healthy() as i64);
         }
     }
+}
 
-    fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            connected_clients: self.engine.connected_clients(),
-            duplicates_suppressed: self.engine.duplicates_suppressed(),
-            cached_responses: self.engine.cached_responses(),
+impl ShardSink for ShardHost {
+    fn push(&mut self, output: ShardOutput) {
+        match output {
+            ShardOutput::Action(action) => self.apply(action),
+            ShardOutput::Forward { shard, conn, wire } => {
+                let _ = self.shard_txs[shard].send(ShardEv::Msg(conn.0, wire));
+            }
         }
     }
 }
 
-fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> ShardFinal {
+fn shard_loop(
+    mut shard: Shard,
+    mut host: ShardHost,
+    rx: Receiver<ShardEv>,
+    shared: Arc<Shared>,
+) -> ShardFinal {
     let mut stop = false;
     let mut ready = Vec::new();
     while !stop {
-        // Block on socket readiness (capped at one tick so credits
-        // replenish and timers run even when the wire is quiet). The
+        // Block on socket readiness (capped at one tick so the batch
+        // pass and timers run even when the wire is quiet). The
         // cross-shard queue interrupts the wait through the doorbell's
         // waker; a poll failure degrades to plain tick pacing.
-        if shard.poller.poll(&mut ready, MAX_POLL_TIMEOUT).is_err() {
+        if host.poller.poll(&mut ready, MAX_POLL_TIMEOUT).is_err() {
             thread::sleep(TICK_REAL);
         }
         if !ready.is_empty() {
-            shard.m_wakeups.inc();
+            host.m_wakeups.inc();
         }
-        let mut events = Vec::new();
-        while let Ok(ev) = rx.try_recv() {
-            events.push(ev);
-        }
-
-        // Requests that found the admission gate closed while this
-        // tick's events drained. They get a second chance in the
-        // end-of-tick batch pass below — replies arriving later in the
-        // same drain free window slots — and only what is *still*
-        // unadmitted after that pass counts as a deferral.
-        let mut arrivals: VecDeque<Queued> = VecDeque::new();
-
+        let view = host.domain.view();
+        let events: Vec<ShardEv> = rx.try_iter().collect();
         for ev in events {
-            shard.m_events.inc();
+            host.m_events.inc();
             match ev {
                 ShardEv::Accepted(id, writer, budget) => {
-                    shard.conns.insert(id, ConnEntry { writer, budget });
-                    let actions = match shard.tap.as_mut() {
-                        Some(tap) => tap.on_accepted(&mut shard.engine, GwConn(id)),
-                        None => shard.engine.on_client_accepted(GwConn(id)),
-                    };
-                    shard.apply(actions);
+                    host.writers.insert(id, writer);
+                    shard.on_accepted(GwConn(id), budget, &mut host);
                 }
-                ShardEv::Adopt(id, stream) => shard.adopt(id, stream),
+                ShardEv::Adopt(id, stream) => host.adopt(id, stream),
                 ShardEv::Msg(id, wire) => {
-                    // Admission gate: requests past the window/credits
-                    // (or behind earlier waiting ones — FIFO fairness)
-                    // queue for the batch pass; everything else
-                    // processes immediately.
-                    let is_request =
-                        Frame::parse(&wire).is_ok_and(|f| f.msg_type() == MsgType::Request);
-                    if is_request && shard.must_queue(&arrivals) {
-                        arrivals.push_back((id, wire));
-                    } else {
-                        shard.admit_queued(id, &wire, true);
-                    }
+                    shard.on_forwarded(GwConn(id), wire, &view, &mut host);
                 }
                 ShardEv::Closed(id) => {
-                    shard.deferred.retain(|&(conn, _)| conn != id);
-                    arrivals.retain(|&(conn, _)| conn != id);
-                    let actions = match shard.tap.as_mut() {
-                        Some(tap) => tap.on_closed(&mut shard.engine, GwConn(id)),
-                        None => shard.engine.on_client_closed(GwConn(id)),
-                    };
-                    shard.apply(actions);
-                    shard.conns.remove(&id);
+                    shard.on_closed(GwConn(id), &mut host);
+                    host.writers.remove(&id);
                 }
                 ShardEv::Delivery(group, payload) => {
-                    shard.process_delivery(group, &payload);
+                    shard.on_delivery(group, &payload, &view, &mut host);
                 }
                 ShardEv::ExportChains(ack) => {
                     // FIFO barrier: everything the relay queued before
                     // this sentinel (notably the replies produced by the
                     // donor's quiesced domain) has been applied, so the
                     // fingerprints describe the exact snapshot cut.
-                    let _ = ack.send(shard.engine.response_digests());
+                    let _ = ack.send(shard.engine().response_digests());
                 }
                 ShardEv::SeedTransfer {
                     chains,
@@ -2164,34 +1796,11 @@ fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> S
                     responses,
                     ack,
                 } => {
-                    for (group, seq, digest) in chains {
-                        shard.engine.seed_chain(group, seq, digest);
-                    }
-                    for (server, value) in counters {
-                        match shard.tap.as_mut() {
-                            Some(tap) => tap.seed_counter(&mut shard.engine, server, value),
-                            None => shard.engine.seed_counter(server, value),
-                        }
-                    }
-                    for (op, reply) in responses {
-                        // The transferred ops are already answered:
-                        // prime duplicate detection so a replica
-                        // re-answering one never re-fingerprints it,
-                        // and cache the reply for §3.5 reissues.
-                        shard.engine.note_domain_response(op);
-                        match shard.tap.as_mut() {
-                            Some(tap) => tap.restore_response(&mut shard.engine, op, reply),
-                            None => shard.engine.restore_cached_response(op, reply),
-                        }
-                    }
+                    shard.seed_transfer(chains, counters, responses);
                     let _ = ack.send(());
                 }
                 ShardEv::PeerGone(payload) => {
-                    // A peer lost its client. Hold the GC for the linger
-                    // window: the client may be failing over to *us*, and
-                    // its relayed cache entries must survive the switch.
-                    let deadline_us = shard.clock.now_micros().saturating_add(shard.linger_us);
-                    shard.gone_queue.push_back((deadline_us, payload));
+                    shard.on_peer_gone(payload, host.clock.now_micros());
                 }
                 ShardEv::Shutdown => stop = true,
             }
@@ -2199,88 +1808,42 @@ fn shard_loop(mut shard: Shard, rx: Receiver<ShardEv>, shared: Arc<Shared>) -> S
 
         // Socket readiness, on the connections this shard owns:
         // writable drains partial-write queues, readable runs the
-        // zero-copy read loop (which feeds `arrivals` when the gate is
-        // closed). Skipped once shutdown is seen — the remaining work
-        // is the queued backlog, not new wire bytes.
+        // zero-copy read loop. Skipped once shutdown is seen — the
+        // remaining work is the queued backlog, not new wire bytes.
         if !stop {
             for ev in ready.drain(..) {
                 if ev.writable {
-                    shard.on_writable(ev.token);
+                    host.on_writable(ev.token);
                 }
                 if ev.readable || ev.hangup {
-                    shard.on_readable(ev.token, &mut arrivals);
+                    host.on_readable(&mut shard, ev.token, &view);
                 }
             }
-            shard.drain_doorbell();
+            host.drain_doorbell();
         }
 
-        shard.replenish_credits(shard.clock.now_micros());
-
-        // Batch admission: grant every window slot and credit that
-        // opened during the tick — carried-over deferrals first (FIFO),
-        // then this tick's arrivals. On shutdown everything still
-        // waiting is processed (not dropped): the queue ahead of the
-        // Shutdown sentinel was already drained, so these are the last
-        // client bytes this shard will ever see.
-        while (stop || shard.admit_ready()) && !(shard.deferred.is_empty() && arrivals.is_empty()) {
-            let from_arrivals = shard.deferred.is_empty();
-            let (id, wire) = if from_arrivals {
-                arrivals.pop_front().expect("non-empty arrivals")
-            } else {
-                shard.deferred.pop_front().expect("non-empty deferred")
-            };
-            if from_arrivals {
-                shard.m_tick_admits.inc();
-            }
-            shard.admit_queued(id, &wire, !stop);
-        }
-        // What is still waiting missed the whole tick: only now does it
-        // become a deferral, carried to the next tick's pass.
-        while let Some(item) = arrivals.pop_front() {
-            shard.m_deferrals.inc();
-            shard.deferred.push_back(item);
-        }
-
-        shard.drain_expired_gone();
-
-        // A wedged window (replies lost to chaos, oneway floods) decays
-        // instead of starving the shard forever.
-        if shard.inflight > 0 {
-            let now_us = shard.clock.now_micros();
-            if now_us.saturating_sub(shard.last_progress_us) >= STALL_RESET_US {
-                shard.inflight = 0;
-                shard.last_progress_us = now_us;
-            }
-        }
-
-        shard.publish(&shared);
+        // The batch pass, lingered client GC and the stall reset. On
+        // shutdown everything still waiting is admitted (not dropped):
+        // the queue ahead of the Shutdown sentinel was already drained,
+        // so these are the last client bytes this shard will ever see.
+        let tick = shard.on_tick(host.clock.now_micros(), &view, stop, &mut host);
+        host.m_tick_admits.add(tick.admitted);
+        host.m_deferrals.add(tick.deferred);
+        host.publish(&shard, &shared);
     }
 
-    if shard.idx == 0 {
-        for entry in shard.conns.values() {
-            entry.writer.close();
+    if host.idx == 0 {
+        for writer in host.writers.values() {
+            writer.close();
         }
     }
-    // Close the shard's recording with its digest before the engine is
-    // drained below (drain_cached_responses mutates the cache).
-    if let Some(tap) = shard.tap.as_mut() {
-        tap.finish(&shard.engine);
-    }
+    // Closing the shard closes its recording with its digest before the
+    // engine is drained below (drain_cached_responses mutates the cache).
+    let mut engine = shard.into_engine();
     ShardFinal {
-        snapshot: shard.snapshot(),
-        counters: shard.engine.counters().clone(),
-        cached: shard.engine.drain_cached_responses(),
-    }
-}
-
-/// Snapshots a [`HostView`] into the value type the replay log stores
-/// inline with each engine event.
-fn recorded_view(view: &HostView) -> RecordedView {
-    let (peers, votes, replicas) = view.parts();
-    RecordedView {
-        peers: peers as u32,
-        votes,
-        replicas: replicas.into_iter().map(|(g, n)| (g, n as u32)).collect(),
+        snapshot: EngineSnapshot::of(&engine),
+        counters: engine.counters().clone(),
+        cached: engine.drain_cached_responses(),
     }
 }
 

@@ -1,22 +1,22 @@
 //! The admission queue, observed from outside a live [`GatewayServer`]:
 //! a request that waits at a closed gate is forwarded byte-for-byte as
-//! one that did not, and a client that pipelines without reading is
-//! disconnected at [`CONN_INBOUND_BUDGET`] whichever shard its frames
-//! queue on.
+//! one that did not. (The queue's own rules — FIFO order, deferrals,
+//! the inbound budget, the stall reset — are `ftd_core::Shard` unit
+//! tests.)
 //!
-//! Every test runs a window of one in front of a domain that never
+//! The gateway runs a window of one in front of a domain that never
 //! answers, so the gate closes behind the first request and stays
 //! closed until the shard's stall reset reopens it.
 
 use ftd_core::EngineConfig;
 use ftd_eternal::DomainMsg;
 use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Request};
-use ftd_net::{AdmissionPolicy, DomainBackend, GatewayServer, HostView, CONN_INBOUND_BUDGET};
+use ftd_net::{AdmissionPolicy, DomainBackend, GatewayServer, HostView};
 use ftd_obs::{names, Registry};
 use ftd_replay::{read_log, ReplayEvent};
 use ftd_sim::SimDuration;
 use ftd_totem::GroupId;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,22 +60,17 @@ impl DomainBackend for SilentBackend {
     fn bind_stats(&mut self, _registry: Arc<Registry>) {}
 }
 
-/// A window-of-one gateway over a [`SilentBackend`]; `GROUP` lives on
-/// the last shard, so with two shards the first connection (owned by
-/// shard 0) reaches it only across the shard queue.
-fn start_server(shards: usize, record: Option<&std::path::Path>) -> (GatewayServer, Seen) {
+/// A one-shard, window-of-one gateway over a [`SilentBackend`],
+/// recording into `record`.
+fn start_server(record: &std::path::Path) -> (GatewayServer, Seen) {
     let seen = Seen::default();
     let backend_seen = seen.clone();
-    let mut builder = GatewayServer::builder()
+    let server = GatewayServer::builder()
         .addr("127.0.0.1:0")
         .config(EngineConfig::new(DOMAIN, GroupId(0x4000_0000 | DOMAIN), 0))
-        .shards(shards)
-        .pin_group(GROUP, shards - 1)
-        .admission(AdmissionPolicy::inflight_window(1));
-    if let Some(dir) = record {
-        builder = builder.record_dir(dir);
-    }
-    let server = builder
+        .shards(1)
+        .admission(AdmissionPolicy::inflight_window(1))
+        .record_dir(record)
         .host(move || Ok::<_, ftd_core::Error>(SilentBackend { seen: backend_seen }))
         .build()
         .expect("bind loopback");
@@ -101,10 +96,10 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-fn deferrals(server: &GatewayServer, shard: usize) -> u64 {
+fn deferrals(server: &GatewayServer) -> u64 {
     server
         .registry()
-        .counter(&names::with_shard(names::GATEWAY_SHARD_DEFERRALS, shard))
+        .counter(&names::with_shard(names::GATEWAY_SHARD_DEFERRALS, 0))
         .get()
 }
 
@@ -133,7 +128,7 @@ fn the_multicast_payload_does_not_depend_on_gateway_load() {
         let record =
             std::env::temp_dir().join(format!("ftd-net-admission-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&record);
-        let (server, seen) = start_server(1, Some(&record));
+        let (server, seen) = start_server(&record);
         let mut client = TcpStream::connect(server.local_addr()).expect("connect");
 
         client.write_all(wire).expect("first write");
@@ -142,10 +137,7 @@ fn the_multicast_payload_does_not_depend_on_gateway_load() {
         });
         client.write_all(wire).expect("second write");
         wait_until("the deferred admission", || seen.lock().unwrap().len() == 2);
-        assert!(
-            deferrals(&server, 0) >= 1,
-            "{name}: second copy was deferred"
-        );
+        assert!(deferrals(&server) >= 1, "{name}: second copy was deferred");
         drop(client);
         server.shutdown();
 
@@ -166,72 +158,4 @@ fn the_multicast_payload_does_not_depend_on_gateway_load() {
         assert_eq!(recorded, [wire, wire], "{name}: recorded client bytes");
         let _ = std::fs::remove_dir_all(&record);
     }
-}
-
-/// Pipelines far more than [`CONN_INBOUND_BUDGET`] of small requests at
-/// a closed gate without ever reading, on a gateway of `shards` shards
-/// (the frames queue on the connection's own shard with one, across the
-/// shard queue with two): the gateway must hang up at the budget, not
-/// queue without limit.
-fn flood_is_disconnected_at_the_inbound_budget(shards: usize) {
-    let (server, _seen) = start_server(shards, None);
-    let mut client = TcpStream::connect(server.local_addr()).expect("connect");
-    client
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-
-    let frame_len = request(1).encode(ByteOrder::Big).len();
-    let frames = 2 * CONN_INBOUND_BUDGET / frame_len;
-    for id in 0..frames as u32 {
-        if client
-            .write_all(&request(id).encode(ByteOrder::Big))
-            .is_err()
-        {
-            break; // already hung up on
-        }
-    }
-    // EOF or a reset, never the read timeout: the gateway closed us.
-    let mut sink = [0u8; 4096];
-    loop {
-        match client.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => {
-                assert!(
-                    !matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ),
-                    "gateway kept a flooding client connected"
-                );
-                break;
-            }
-        }
-    }
-
-    let registry = server.registry();
-    wait_until("the overflow to be counted", || {
-        registry.counter(names::NET_QUEUE_OVERFLOWS).get() >= 1
-    });
-    // Everything that ever waited a tick fits in the budget (plus the
-    // few frames a stall reset admitted, freeing their bytes).
-    let queued = deferrals(&server, shards - 1) as usize * frame_len;
-    assert!(
-        queued <= CONN_INBOUND_BUDGET + 64 * frame_len,
-        "{queued} bytes were deferred against a budget of {CONN_INBOUND_BUDGET}"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn a_flood_at_the_owning_shard_is_disconnected_at_the_inbound_budget() {
-    flood_is_disconnected_at_the_inbound_budget(1);
-}
-
-#[test]
-fn a_flood_across_the_shard_queue_is_disconnected_at_the_inbound_budget() {
-    flood_is_disconnected_at_the_inbound_budget(2);
 }

@@ -15,6 +15,7 @@
 //! decode error — a log written by a future format version must be
 //! rejected, not half-read.
 
+pub use ftd_core::RecordedView;
 use ftd_eternal::OperationId;
 use ftd_totem::GroupId;
 use std::io;
@@ -25,42 +26,6 @@ pub const LOG_MAGIC: [u8; 4] = *b"FTDR";
 /// Current event-log format version. Bump on any incompatible change to
 /// the event vocabulary or field layout.
 pub const LOG_VERSION: u32 = 1;
-
-/// A domain-side fact snapshot the engine consulted while processing one
-/// event: live gateway peers, which groups vote, and the live replica
-/// counts (the voting electorate). Recorded inline per event because the
-/// live view changes underneath the engines asynchronously.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecordedView {
-    /// Live gateways of this domain's gateway group (including ours).
-    pub peers: u32,
-    /// `(group, votes)` — groups replicated active-with-voting.
-    pub votes: Vec<(u32, bool)>,
-    /// `(group, live replicas)` — the electorate size per group.
-    pub replicas: Vec<(u32, u32)>,
-}
-
-impl ftd_core::DomainView for RecordedView {
-    fn live_gateway_peers(&self) -> usize {
-        self.peers as usize
-    }
-
-    fn votes(&self, group: GroupId) -> bool {
-        self.votes
-            .iter()
-            .find(|(g, _)| *g == group.0)
-            .map(|&(_, v)| v)
-            .unwrap_or(false)
-    }
-
-    fn live_replicas(&self, group: GroupId) -> usize {
-        self.replicas
-            .iter()
-            .find(|(g, _)| *g == group.0)
-            .map(|&(_, n)| n as usize)
-            .unwrap_or(0)
-    }
-}
 
 /// The engine-side shape of the recorded gateway: shard count plus the
 /// [`ftd_core::EngineConfig`] fields the replayer needs to rebuild

@@ -23,8 +23,9 @@
 //!   fails, the per-event action CRCs pinpoint the first diverging
 //!   event by log offset.
 //!
-//! Hosts wire recording in through two seams: [`ShardTap`] wraps each
-//! shard's engine entry points, and [`RecordingClock`] wraps the
+//! Hosts wire recording in through two seams: [`ShardTap`] is the
+//! [`ftd_core::EngineTap`] each shard reports its engine calls to, and
+//! [`RecordingClock`] wraps the
 //! engine's time source. `ftd-net` provides the live plumbing
 //! (`GatewayServer::builder().record_dir(..)`) and the domain-side
 //! rebuild; this crate stays transport-agnostic and std-only.

@@ -1,10 +1,10 @@
 //! Event-log format and replay-equality properties, end to end against
-//! a real [`GatewayEngine`]: versioned-header round-trips, torn-tail
-//! truncation mid-recording, replay idempotence, and pinpointing of an
-//! artificially injected divergence.
+//! a real [`Shard`]: versioned-header round-trips, torn-tail truncation
+//! mid-recording, replay idempotence, and pinpointing of an artificially
+//! injected divergence.
 
-use ftd_core::{EngineConfig, GatewayEngine, GwConn};
-use ftd_giop::{ByteOrder, Frame, GiopMessage, ObjectKey, Request};
+use ftd_core::{EngineConfig, GatewayEngine, GwConn, Shard, ShardRouter};
+use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Request};
 use ftd_obs::{Clock, ManualClock};
 use ftd_replay::{
     read_log, replay_events, EngineSetup, NullDomain, RecordedView, Recorder, RecordingClock,
@@ -13,6 +13,7 @@ use ftd_replay::{
 use ftd_totem::GroupId;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
@@ -40,7 +41,7 @@ fn solo_view() -> RecordedView {
     }
 }
 
-/// Records a small but real run — one engine behind a [`ShardTap`] and a
+/// Records a small but real run — one shard behind a [`ShardTap`] and a
 /// [`RecordingClock`], driven through accept/request/close — and returns
 /// the recording directory.
 fn record_run(name: &str) -> PathBuf {
@@ -58,18 +59,20 @@ fn record_run(name: &str) -> PathBuf {
         Arc::new(RecordingClock::new(manual.clone(), recorder.clone(), 0)) as Arc<dyn Clock>,
     );
 
-    let mut tap = ShardTap::new(recorder.clone(), 0);
+    let tap = ShardTap::new(recorder.clone(), 0);
+    let router = Arc::new(ShardRouter::new(1).expect("one shard"));
+    let mut shard = Shard::new(0, engine, router, 64, 0, Some(Box::new(tap)));
     let view = solo_view();
-    tap.on_accepted(&mut engine, GwConn(1));
+    let mut out = Vec::new();
+    shard.on_accepted(GwConn(1), Arc::new(AtomicUsize::new(0)), &mut out);
     for (id, add) in [(1u32, 7u64), (2, 11), (3, 2)] {
         manual.advance(250);
         let wire = request(id, "add", add.to_be_bytes().to_vec()).encode(ByteOrder::Big);
-        let frame = Frame::parse(&wire).expect("one frame");
-        tap.on_frame(&mut engine, GwConn(1), frame, &view);
+        assert!(shard.on_frame(GwConn(1), &wire, &view, &mut out));
     }
     manual.advance(50);
-    tap.on_closed(&mut engine, GwConn(1));
-    tap.finish(&engine);
+    shard.on_closed(GwConn(1), &mut out);
+    shard.into_engine();
     assert!(recorder.ok(), "recording poisoned");
     dir
 }
