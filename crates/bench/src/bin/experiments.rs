@@ -481,7 +481,17 @@ fn e7_plain_orb_limitations() {
     let client = add_plain_client(&mut world, &handle, true);
     one_round_trip(&mut world, client, 5);
     plain_send(&mut world, client, "add", &10u64.to_be_bytes());
-    world.run_for(SimDuration::from_micros(300));
+    // Crash the gateway once the replicas have executed the add, before
+    // its reply can reach the client.
+    for _ in 0..1_000 {
+        if counter_values(&world, &handle, SERVER)
+            .iter()
+            .all(|&v| v == 15)
+        {
+            break;
+        }
+        world.run_for(SimDuration::from_micros(10));
+    }
     world.crash(handle.gateway_processors[0]);
     world.run_for(SimDuration::from_millis(30));
     world.recover(handle.gateway_processors[0]);

@@ -205,6 +205,9 @@ impl<E: DaemonExtension> EternalDaemon<E> {
 
     fn drain(&mut self, ctx: &mut Context<'_>) {
         loop {
+            // Whatever this callback (or a delivery below) queued goes
+            // out now if this daemon holds the idle token.
+            self.totem.release_hold(ctx);
             let events = self.totem.take_events();
             if events.is_empty() {
                 return;

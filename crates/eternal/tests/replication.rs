@@ -559,3 +559,64 @@ fn reissued_invocation_is_answered_without_reexecution() {
     assert_eq!(executed_before, hosts.len() as u64);
     assert_eq!(dup_before, 0);
 }
+
+// ---------------------------------------------------------------------
+// Idle-token hold
+// ---------------------------------------------------------------------
+
+const SEND_TAG: u64 = 7;
+
+/// An extension that multicasts from inside the daemon's callback when
+/// `SEND_TAG` is posted to it.
+struct Sender;
+
+impl DaemonExtension for Sender {
+    fn on_timer(
+        &mut self,
+        _ctx: &mut Context<'_>,
+        totem: &mut ftd_totem::TotemNode,
+        _mech: &mut Mechanisms,
+        tag: u64,
+    ) {
+        if tag == SEND_TAG {
+            totem.multicast(GroupId(99), b"from a callback".to_vec());
+        }
+    }
+}
+
+#[test]
+fn a_send_queued_in_a_callback_at_the_holding_leader_goes_at_once() {
+    let mut world = World::new(8);
+    let lan = world.add_lan(LanConfig::default());
+    let procs: Vec<ProcessorId> = (0..4)
+        .map(|i| {
+            world.add_processor(&format!("p{i}"), lan, move |me| {
+                Box::new(EternalDaemon::with_extension(
+                    me,
+                    TotemConfig::default(),
+                    MechConfig::default(),
+                    registry(),
+                    Sender,
+                ))
+            })
+        })
+        .collect();
+    world.run_for(SimDuration::from_millis(20));
+    let holds = |world: &World| {
+        let leader = world.actor::<EternalDaemon<Sender>>(procs[0]).unwrap();
+        leader.totem().holds_token()
+    };
+    let mut steps = 0;
+    while !holds(&world) {
+        assert!(steps < 100_000, "the leader of an idle ring never held");
+        world.step();
+        steps += 1;
+    }
+    let broadcasts = world.stats().counter("totem.broadcasts");
+    let at = world.now();
+    world.post(procs[0], SEND_TAG);
+    world.run_for(SimDuration::ZERO);
+    assert_eq!(world.now(), at);
+    assert_eq!(world.stats().counter("totem.broadcasts"), broadcasts + 1);
+    assert!(!holds(&world));
+}

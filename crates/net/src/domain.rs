@@ -6,9 +6,12 @@
 //! gets its own thread: [`DomainService`] owns the host, applies queued
 //! multicasts, advances the virtual clock a slice per pump (one pump per
 //! real tick when idle; drain, pump, repeat while commands are queued),
-//! and routes ordered deliveries out through the gateway's delivery sink
-//! to its shard queues. The gateway's shards, relay and admin threads
-//! talk to it through a cloneable [`DomainLink`].
+//! and hands each pump's ordered deliveries, as one batch, to the
+//! gateway's delivery sink. The sink moves them onto the shard queues
+//! and rings each receiving shard's doorbell once, so a reply reaches a
+//! shard asleep in `poll(2)` when the pump that ordered it ends. The
+//! gateway's shards, relay and admin threads talk to it through a
+//! cloneable [`DomainLink`].
 //!
 //! Every gateway owns exactly one domain. Several gateways in front of
 //! one *logical* domain is §3.5's gateway group
@@ -44,9 +47,10 @@ pub enum DomainFault {
     RecoverProcessor(usize),
 }
 
-/// The gateway's delivery fan-out callback: routes one ordered delivery
-/// to the shard queue(s) that need it.
-pub(crate) type DeliverySink = Box<dyn FnMut(GroupId, &[u8]) + Send>;
+/// The gateway's delivery fan-out callback: routes one pump's ordered
+/// deliveries, by value, to the shard queue(s) that need them and wakes
+/// each shard that got one.
+pub(crate) type DeliverySink = Box<dyn FnMut(Vec<(GroupId, Vec<u8>)>) + Send>;
 
 enum DomainCmd {
     Multicast(GroupId, Vec<u8>),
@@ -226,10 +230,10 @@ impl Drop for DomainService {
     }
 }
 
-fn route_deliveries(deliveries: &[(GroupId, Vec<u8>)], sink: &mut Option<DeliverySink>) {
+fn route_deliveries(deliveries: Vec<(GroupId, Vec<u8>)>, sink: &mut Option<DeliverySink>) {
     if let Some(sink) = sink {
-        for (group, payload) in deliveries {
-            sink(*group, payload);
+        if !deliveries.is_empty() {
+            sink(deliveries);
         }
     }
 }
@@ -321,14 +325,16 @@ fn domain_loop<B: DomainBackend>(
         }
         next_tick = Instant::now() + TICK_REAL;
 
-        // Advance the virtual clock and push ordered deliveries out to
-        // the gateways' shard queues. Durable backends take their
-        // checkpoint opportunity once the tick's deliveries are routed.
+        // Advance the virtual clock and push the pump's ordered
+        // deliveries out to the shard queues in one batch: the sink
+        // rings each shard that got one exactly once, so a shard asleep
+        // in poll(2) answers now, not at its next poll timeout. Durable
+        // backends take their checkpoint opportunity once the tick's
+        // deliveries are routed.
         rec(&ftd_replay::ReplayEvent::DomainTick {
             micros: TICK_VIRTUAL.as_micros(),
         });
-        let deliveries = host.pump(TICK_VIRTUAL);
-        route_deliveries(&deliveries, &mut sink);
+        route_deliveries(host.pump(TICK_VIRTUAL), &mut sink);
         host.maintain();
 
         if !quiesce_acks.is_empty() {
@@ -349,7 +355,7 @@ fn domain_loop<B: DomainBackend>(
                     idle += 1;
                 } else {
                     idle = 0;
-                    route_deliveries(&more, &mut sink);
+                    route_deliveries(more, &mut sink);
                 }
             }
             for ack in quiesce_acks {
@@ -566,13 +572,13 @@ mod tests {
         let mut h = start(Duration::ZERO, 4);
         let link = h.service.link();
         let (tx, rx) = mpsc::channel();
-        link.register_sink(Box::new(move |group, payload| {
-            let _ = tx.send((group, payload.to_vec()));
+        link.register_sink(Box::new(move |batch| {
+            let _ = tx.send(batch);
         }));
         link.multicast(GroupId(9), b"in flight".to_vec());
         link.quiesce(Duration::from_secs(10));
         // No waiting here: the delivery was routed before the ack.
-        assert_eq!(rx.try_recv(), Ok((GroupId(9), b"in flight".to_vec())));
+        assert_eq!(rx.try_recv(), Ok(vec![(GroupId(9), b"in flight".to_vec())]));
         h.service.shutdown();
     }
 }

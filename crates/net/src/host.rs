@@ -282,9 +282,21 @@ impl DomainHost {
     /// domain; it is sent as virtual time advances in [`DomainHost::pump`].
     /// Silently dropped while the relay processor is crashed — the caller
     /// sees the domain as unreachable through [`DomainHost::is_operational`].
+    ///
+    /// The relay is the ring leader. When it holds the idle token, this
+    /// call runs outside the world and cannot end the hold itself, so it
+    /// posts Totem's release tag to the relay as a zero-delay event: the
+    /// send then goes at the first instant of the next pump, not when the
+    /// hold expires.
     pub fn multicast(&mut self, group: GroupId, payload: Vec<u8>) {
-        if let Some(daemon) = self.relay_daemon_mut() {
-            daemon.parts_mut().0.multicast(group, payload);
+        let Some(daemon) = self.relay_daemon_mut() else {
+            return;
+        };
+        let totem = daemon.parts_mut().0;
+        totem.multicast(group, payload);
+        if totem.holds_token() {
+            let release = totem.release_tag();
+            self.world.post(self.relay, release);
         }
     }
 
@@ -466,6 +478,28 @@ mod tests {
             host.is_operational(),
             "recovered processor rejoins the ring"
         );
+    }
+
+    #[test]
+    fn a_multicast_while_the_relay_holds_the_token_goes_at_once() {
+        let mut host = DomainHost::new(3, 4, 13, registry);
+        let holds = |host: &DomainHost| host.relay_daemon().unwrap().totem().holds_token();
+        let mut steps = 0;
+        while !holds(&host) {
+            assert!(steps < 100_000, "the relay never held the idle token");
+            host.world.step();
+            steps += 1;
+        }
+        let broadcasts = host.world.stats().counter("totem.broadcasts");
+        let at = host.world.now();
+        host.multicast(GroupId(10), vec![1, 2, 3]);
+        host.world.run_for(SimDuration::ZERO);
+        assert_eq!(host.world.now(), at);
+        assert_eq!(
+            host.world.stats().counter("totem.broadcasts"),
+            broadcasts + 1
+        );
+        assert!(!holds(&host));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   instance per gateway shard. Registration is token-keyed so the
 //!   shard can map readiness straight back to its connection table.
 //! * [`Waker`] — a self-pipe that makes a sleeping [`Poller::poll`]
-//!   return early from another thread (used when a different shard
-//!   queues a partial write on a connection this shard owns).
+//!   return early from another thread (rung whenever another thread
+//!   queues an event for the shard, or a partial write on a connection
+//!   the shard owns). At most one wake byte is ever in flight.
 //! * [`raise_nofile_limit`] — lifts `RLIMIT_NOFILE` so a single
 //!   process can actually hold tens of thousands of sockets (the C50K
 //!   configuration; the default soft limit is typically 1024).
@@ -70,6 +71,7 @@ mod imp {
     use std::net::TcpStream;
     use std::os::fd::{AsRawFd, RawFd};
     use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -183,19 +185,22 @@ mod imp {
     const WAKE_TOKEN: u64 = u64::MAX;
 
     /// Wakes a sleeping [`Poller`] from another thread by writing one
-    /// byte into its self-pipe. Cheap to clone; coalesces naturally
-    /// (a pipe that already holds a wake byte absorbs further wakes
-    /// with `WouldBlock`, which is ignored).
+    /// byte into its self-pipe. Cheap to clone; wakes coalesce: while
+    /// one is pending (written but not yet drained by `poll`) further
+    /// wakes are a single atomic swap, not a syscall.
     #[derive(Clone)]
     pub struct Waker {
         pipe: Arc<UnixStream>,
+        pending: Arc<AtomicBool>,
     }
 
     impl Waker {
         /// Makes the paired poller's next (or current) `poll` return.
         pub fn wake(&self) {
-            // A full pipe already guarantees a pending wakeup.
-            let _ = (&*self.pipe).write(&[1u8]);
+            if !self.pending.swap(true, Ordering::AcqRel) {
+                // A full pipe already guarantees a pending wakeup.
+                let _ = (&*self.pipe).write(&[1u8]);
+            }
         }
     }
 
@@ -223,6 +228,7 @@ mod imp {
                 wake_rx,
                 waker: Waker {
                     pipe: Arc::new(wake_tx),
+                    pending: Arc::new(AtomicBool::new(false)),
                 },
                 scratch: Vec::new(),
                 tokens: Vec::new(),
@@ -296,9 +302,15 @@ mod imp {
                     continue;
                 }
                 if token == WAKE_TOKEN {
-                    // Drain every queued wake byte; wakes coalesce.
+                    // Drain the wake byte, then re-arm the waker before
+                    // the caller reads whatever queue the wake was for:
+                    // a later push then writes a fresh byte, and an
+                    // earlier one is already visible to that read (its
+                    // producer's swap released the push; this swap
+                    // acquires it).
                     let mut sink = [0u8; 64];
                     while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+                    self.waker.pending.swap(false, Ordering::AcqRel);
                     continue;
                 }
                 events.push(Event {
@@ -309,6 +321,45 @@ mod imp {
                 });
             }
             Ok(())
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use ftd_obs::{RealClock, Stopwatch};
+
+        #[test]
+        fn wakes_coalesce_into_one_byte_and_rearm_after_a_drain() {
+            let mut poller = Poller::new().unwrap();
+            let wakers: Vec<Waker> = (0..4).map(|_| poller.waker()).collect();
+            std::thread::scope(|s| {
+                for waker in &wakers {
+                    s.spawn(move || (0..250).for_each(|_| waker.wake()));
+                }
+            });
+            // A thousand wakes from four threads left exactly one byte.
+            let mut buf = [0u8; 64];
+            assert_eq!((&poller.wake_rx).read(&mut buf).unwrap(), 1);
+            assert!((&poller.wake_rx).read(&mut buf).is_err(), "pipe drained");
+            (&*poller.waker.pipe).write_all(&[1]).unwrap(); // put it back
+
+            let mut events = Vec::new();
+            let clock = RealClock::new();
+            let timed_poll = |poller: &mut Poller, events: &mut Vec<Event>, timeout| {
+                let watch = Stopwatch::start(&clock);
+                poller.poll(events, timeout).unwrap();
+                Duration::from_micros(watch.elapsed_micros())
+            };
+            let long = Duration::from_secs(10);
+            assert!(timed_poll(&mut poller, &mut events, long) < Duration::from_secs(5));
+            // Drained and re-armed: nothing pending, so a poll now waits
+            // out its timeout ...
+            let short = Duration::from_millis(20);
+            assert!(timed_poll(&mut poller, &mut events, short) >= short / 2);
+            // ... and a wake after the drain makes the next poll return.
+            wakers[0].wake();
+            assert!(timed_poll(&mut poller, &mut events, long) < Duration::from_secs(5));
         }
     }
 }

@@ -24,7 +24,7 @@
 //! barriers a state transfer needs.
 
 use crate::domain::DomainLink;
-use crate::server::ShardEv;
+use crate::server::{ShardEv, ShardQueue};
 use crate::store::{read_len_bytes, read_opid, write_len_bytes, write_opid};
 use crate::GroupSnapshot;
 use ftd_core::{GwMsg, ShardRouter};
@@ -34,7 +34,6 @@ use ftd_obs::{names, Registry};
 use ftd_totem::GroupId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -71,7 +70,7 @@ pub(crate) struct GroupRelay {
     /// needs the relay, so the relay is built first).
     mesh: OnceLock<Arc<PeerMesh>>,
     domain: DomainLink,
-    shard_txs: Vec<Sender<ShardEv>>,
+    queues: Vec<ShardQueue>,
     router: Arc<ShardRouter>,
     registry: Arc<Registry>,
     /// The gateway group id — coordination multicasts addressed to it
@@ -95,7 +94,7 @@ impl GroupRelay {
     pub(crate) fn new(
         node: Arc<GroupNode>,
         domain: DomainLink,
-        shard_txs: Vec<Sender<ShardEv>>,
+        queues: Vec<ShardQueue>,
         router: Arc<ShardRouter>,
         registry: Arc<Registry>,
         gw_group: GroupId,
@@ -105,7 +104,7 @@ impl GroupRelay {
             node,
             mesh: OnceLock::new(),
             domain,
-            shard_txs,
+            queues,
             router,
             registry,
             gw_group,
@@ -237,7 +236,7 @@ impl GroupRelay {
                         server: header.target,
                     }
                     .encode();
-                    let _ = self.shard_txs[self.router.route(header.target)]
+                    self.queues[self.router.route(header.target)]
                         .send(ShardEv::Delivery(self.gw_group, record));
                 }
             }
@@ -273,12 +272,12 @@ impl GroupRelay {
                 }
                 match GwMsg::decode(&payload) {
                     Ok(GwMsg::ClientGone { .. }) => {
-                        for tx in &self.shard_txs {
-                            let _ = tx.send(ShardEv::PeerGone(payload.clone()));
+                        for queue in &self.queues {
+                            queue.send(ShardEv::PeerGone(payload.clone()));
                         }
                     }
                     Ok(GwMsg::PeerReply { server, .. }) | Ok(GwMsg::Record { server, .. }) => {
-                        let _ = self.shard_txs[self.router.route(server)]
+                        self.queues[self.router.route(server)]
                             .send(ShardEv::Delivery(self.gw_group, payload));
                     }
                     _ => {}
@@ -378,10 +377,10 @@ impl GroupRelay {
         };
         self.domain.quiesce(TRANSFER_STEP_TIMEOUT);
         let mut chains: Vec<(u32, u64, u64)> = Vec::new();
-        let mut barriers = Vec::with_capacity(self.shard_txs.len());
-        for tx in &self.shard_txs {
+        let mut barriers = Vec::with_capacity(self.queues.len());
+        for queue in &self.queues {
             let (ack_tx, ack_rx) = mpsc::channel();
-            if tx.send(ShardEv::ExportChains(ack_tx)).is_ok() {
+            if queue.send(ShardEv::ExportChains(ack_tx)) {
                 barriers.push(ack_rx);
             }
         }
@@ -457,7 +456,7 @@ impl GroupRelay {
                 }
             }
         }
-        for (idx, tx) in self.shard_txs.iter().enumerate() {
+        for (idx, queue) in self.queues.iter().enumerate() {
             let shard_chains: Vec<(u32, u64, u64)> = chains
                 .iter()
                 .copied()
@@ -480,7 +479,7 @@ impl GroupRelay {
                 responses: shard_responses,
                 ack: ack_tx,
             };
-            if tx.send(ev).is_ok() {
+            if queue.send(ev) {
                 let _ = ack_rx.recv_timeout(TRANSFER_STEP_TIMEOUT);
             }
         }

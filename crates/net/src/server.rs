@@ -73,7 +73,7 @@
 //! external dependencies.
 
 use crate::backend::DomainBackend;
-use crate::domain::{DomainFault, DomainLink, DomainService, TICK_REAL};
+use crate::domain::{DeliverySink, DomainFault, DomainLink, DomainService, TICK_REAL};
 use crate::group::GroupOptions;
 use crate::reactor::{raw_fd, Interest, Poller, Waker, MAX_POLL_TIMEOUT};
 use crate::relay::GroupRelay;
@@ -319,6 +319,73 @@ impl Doorbell {
             .lock()
             .map(|mut dirty| std::mem::take(&mut *dirty))
             .unwrap_or_default()
+    }
+}
+
+/// The one way to hand a shard thread an event: its queue plus its
+/// doorbell. [`ShardQueue::send`] rings, so a shard asleep in `poll(2)`
+/// sees the event now rather than at its next poll timeout; a caller
+/// queuing a batch uses [`ShardQueue::push`] and rings once at the end.
+#[derive(Clone)]
+pub(crate) struct ShardQueue {
+    tx: Sender<ShardEv>,
+    bell: Arc<Doorbell>,
+}
+
+impl ShardQueue {
+    /// Queues `ev` and rings the shard. `false` once the shard is gone.
+    pub(crate) fn send(&self, ev: ShardEv) -> bool {
+        let sent = self.push(ev);
+        self.ring();
+        sent
+    }
+
+    /// Queues `ev` without ringing; the caller rings after its batch.
+    fn push(&self, ev: ShardEv) -> bool {
+        self.tx.send(ev).is_ok()
+    }
+
+    fn ring(&self) {
+        self.bell.waker.wake();
+    }
+}
+
+/// The gateway's [`DeliverySink`]: one pump's ordered deliveries go to
+/// the shard queues (replica responses to the shard owning their group,
+/// gateway-group coordination to every shard), then each shard that got
+/// at least one is rung exactly once.
+fn delivery_sink(router: Arc<ShardRouter>, queues: Vec<ShardQueue>) -> DeliverySink {
+    Box::new(move |batch| route_batch(&router, &queues, batch, |i| queues[i].ring()))
+}
+
+/// Queues every delivery of `batch` on the shard(s) it routes to, moving
+/// each payload (only a fan-out to every shard clones), then calls
+/// `ring` once per shard that got at least one.
+fn route_batch(
+    router: &ShardRouter,
+    queues: &[ShardQueue],
+    batch: Vec<(GroupId, Vec<u8>)>,
+    mut ring: impl FnMut(usize),
+) {
+    let mut got = vec![false; queues.len()];
+    for (group, payload) in batch {
+        match classify_delivery(router, &payload) {
+            DeliveryRoute::Shard(i) => {
+                queues[i].push(ShardEv::Delivery(group, payload));
+                got[i] = true;
+            }
+            DeliveryRoute::All => {
+                for queue in queues {
+                    queue.push(ShardEv::Delivery(group, payload.clone()));
+                }
+                got.fill(true);
+            }
+        }
+    }
+    for (i, got) in got.into_iter().enumerate() {
+        if got {
+            ring(i);
+        }
     }
 }
 
@@ -773,18 +840,25 @@ impl GatewayBuilder {
             None => None,
         };
 
-        let mut shard_txs: Vec<Sender<ShardEv>> = Vec::with_capacity(shards);
+        // One reactor and one event queue per shard, created before any
+        // thread spawns so every thread is born holding every shard's
+        // queue and doorbell (waker + dirty-writer list).
+        let mut queues: Vec<ShardQueue> = Vec::with_capacity(shards);
         let mut shard_rxs: Vec<Receiver<ShardEv>> = Vec::with_capacity(shards);
+        let mut pollers = Vec::with_capacity(shards);
         for _ in 0..shards {
+            let poller = Poller::new().map_err(Error::Io)?;
             let (tx, rx) = mpsc::channel();
-            shard_txs.push(tx);
+            queues.push(ShardQueue {
+                tx,
+                bell: Arc::new(Doorbell::new(poller.waker())),
+            });
             shard_rxs.push(rx);
+            pollers.push(poller);
         }
 
         // Gateway group: membership + relay come up before the shard
-        // threads spawn, so every shard is born holding the relay handle
-        // and relayed frames (which land on the shard queues) can never
-        // beat the queues' creation.
+        // threads spawn, so every shard is born holding the relay handle.
         let (group_node, mesh, relay) = match self.group {
             Some(opts) => {
                 let relay_listener = TcpListener::bind(&opts.relay_listen)?;
@@ -811,7 +885,7 @@ impl GatewayBuilder {
                 let relay = Arc::new(GroupRelay::new(
                     node.clone(),
                     domain.clone(),
-                    shard_txs.clone(),
+                    queues.clone(),
                     router.clone(),
                     registry.clone(),
                     config.group,
@@ -837,17 +911,6 @@ impl GatewayBuilder {
             None => (None, None, None),
         };
 
-        // One reactor per shard, created before the threads spawn so the
-        // accept thread is born holding every shard's doorbell (waker +
-        // dirty-writer list).
-        let mut pollers = Vec::with_capacity(shards);
-        let mut doorbells = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let poller = Poller::new().map_err(Error::Io)?;
-            doorbells.push(Arc::new(Doorbell::new(poller.waker())));
-            pollers.push(poller);
-        }
-
         let mut shard_threads = Vec::with_capacity(shards);
         for (idx, ((shard, rx), poller)) in core_shards
             .into_iter()
@@ -859,8 +922,7 @@ impl GatewayBuilder {
                 idx,
                 config.group,
                 poller,
-                doorbells[idx].clone(),
-                shard_txs.clone(),
+                queues.clone(),
                 config.max_body,
                 domain.clone(),
                 registry.clone(),
@@ -879,24 +941,9 @@ impl GatewayBuilder {
         // The domain fans ordered deliveries into the shard queues. Its
         // thread is stopped only after the shards are joined; a send to
         // a joined shard's queue just fails.
-        {
-            let txs = shard_txs.clone();
-            let sink_router = router.clone();
-            domain.register_sink(Box::new(move |group, payload| {
-                match classify_delivery(&sink_router, payload) {
-                    DeliveryRoute::Shard(i) => {
-                        let _ = txs[i].send(ShardEv::Delivery(group, payload.to_vec()));
-                    }
-                    DeliveryRoute::All => {
-                        for tx in &txs {
-                            let _ = tx.send(ShardEv::Delivery(group, payload.to_vec()));
-                        }
-                    }
-                }
-            }));
-        }
+        domain.register_sink(delivery_sink(router.clone(), queues.clone()));
 
-        let accept_txs = shard_txs.clone();
+        let accept_queues = queues.clone();
         let accept_shared = shared.clone();
         let accept_domain = domain.clone();
         let partial_writes = registry.counter(names::NET_REACTOR_PARTIAL_WRITES);
@@ -905,10 +952,9 @@ impl GatewayBuilder {
             .spawn(move || {
                 accept_loop(
                     listener,
-                    accept_txs,
+                    accept_queues,
                     accept_shared,
                     accept_domain,
-                    doorbells,
                     partial_writes,
                 )
             })?;
@@ -940,7 +986,7 @@ impl GatewayBuilder {
             metrics_addr,
             publisher,
             domain_id: config.domain,
-            shard_txs,
+            queues,
             router,
             domain,
             domain_thread,
@@ -965,7 +1011,7 @@ pub struct GatewayServer {
     metrics_addr: Option<SocketAddr>,
     publisher: IorPublisher,
     domain_id: u32,
-    shard_txs: Vec<Sender<ShardEv>>,
+    queues: Vec<ShardQueue>,
     router: Arc<ShardRouter>,
     domain: DomainLink,
     domain_thread: DomainService,
@@ -1197,8 +1243,8 @@ impl GatewayServer {
             // caches see every reply before being flushed.
             self.domain.quiesce(Duration::from_secs(2));
         }
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardEv::Shutdown);
+        for queue in &self.queues {
+            queue.send(ShardEv::Shutdown);
         }
         let mut shards = Vec::new();
         let mut cached_replies = Vec::new();
@@ -1319,10 +1365,9 @@ fn stats_from_registry(registry: &Registry) -> Stats {
 
 fn accept_loop(
     listener: TcpListener,
-    shard_txs: Vec<Sender<ShardEv>>,
+    queues: Vec<ShardQueue>,
     shared: Arc<Shared>,
     domain: DomainLink,
-    doorbells: Vec<Arc<Doorbell>>,
     partial_writes: Arc<Counter>,
 ) {
     let mut next_id = 1u64;
@@ -1355,7 +1400,7 @@ fn accept_loop(
         // Round-robin connection ownership: the owning shard's reactor
         // reads this socket; routing still sends each message to the
         // shard owning its group.
-        let owner = (id as usize - 1) % shard_txs.len();
+        let owner = (id as usize - 1) % queues.len();
         shared.registry.inc("net.connections");
         let writer = Arc::new(ConnWriter {
             id,
@@ -1363,28 +1408,22 @@ fn accept_loop(
                 stream: stream.clone(),
                 pending: VecDeque::new(),
             }),
-            doorbell: doorbells[owner].clone(),
+            doorbell: queues[owner].bell.clone(),
             partial_writes: partial_writes.clone(),
         });
         let budget = Arc::new(AtomicUsize::new(0));
         // Every shard learns of the connection before its owner can read
         // a byte from it, so a routed message never beats its Accepted
         // event (the per-shard queues are FIFO and Adopt is sent last).
+        // Only the owner is rung: the others have nothing to do until
+        // a frame is forwarded to them, and that send rings.
         let mut dead = false;
-        for tx in &shard_txs {
-            dead |= tx
-                .send(ShardEv::Accepted(id, writer.clone(), budget.clone()))
-                .is_err();
+        for queue in &queues {
+            dead |= !queue.push(ShardEv::Accepted(id, writer.clone(), budget.clone()));
         }
-        if dead {
+        if dead || !queues[owner].send(ShardEv::Adopt(id, stream)) {
             break;
         }
-        if shard_txs[owner].send(ShardEv::Adopt(id, stream)).is_err() {
-            break;
-        }
-        // The owner may be asleep in poll(2); connection setup should
-        // not wait out the tick.
-        doorbells[owner].waker.wake();
     }
 }
 
@@ -1423,8 +1462,8 @@ struct ShardHost {
     /// Connections whose read half this shard's reactor owns.
     owned: BTreeMap<u64, OwnedConn>,
     poller: Poller,
-    doorbell: Arc<Doorbell>,
-    shard_txs: Vec<Sender<ShardEv>>,
+    /// Every shard's queue, this one's (at `idx`) included.
+    queues: Vec<ShardQueue>,
     max_body: usize,
     /// The gateway's base clock. Host-side timing deliberately bypasses
     /// any recording clock: replay re-drives the engine, not this loop.
@@ -1453,8 +1492,7 @@ impl ShardHost {
         idx: usize,
         gw_group: GroupId,
         poller: Poller,
-        doorbell: Arc<Doorbell>,
-        shard_txs: Vec<Sender<ShardEv>>,
+        queues: Vec<ShardQueue>,
         max_body: usize,
         domain: DomainLink,
         registry: Arc<Registry>,
@@ -1469,8 +1507,7 @@ impl ShardHost {
             writers: BTreeMap::new(),
             owned: BTreeMap::new(),
             poller,
-            doorbell,
-            shard_txs,
+            queues,
             max_body,
             clock,
             domain,
@@ -1509,8 +1546,8 @@ impl ShardHost {
     fn release(&mut self, id: u64) {
         self.poller.deregister(id);
         self.owned.remove(&id);
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardEv::Closed(id));
+        for queue in &self.queues {
+            queue.send(ShardEv::Closed(id));
         }
     }
 
@@ -1587,7 +1624,7 @@ impl ShardHost {
     /// Picks up connections whose writers queued bytes from another
     /// thread since the last tick and arms write interest for them.
     fn drain_doorbell(&mut self) {
-        for id in self.doorbell.drain() {
+        for id in self.queues[self.idx].bell.drain() {
             if self.owned.contains_key(&id)
                 && self.writers.get(&id).is_some_and(|w| w.has_pending())
             {
@@ -1738,7 +1775,7 @@ impl ShardSink for ShardHost {
         match output {
             ShardOutput::Action(action) => self.apply(action),
             ShardOutput::Forward { shard, conn, wire } => {
-                let _ = self.shard_txs[shard].send(ShardEv::Msg(conn.0, wire));
+                self.queues[shard].send(ShardEv::Msg(conn.0, wire));
             }
         }
     }
@@ -1754,8 +1791,9 @@ fn shard_loop(
     let mut ready = Vec::new();
     while !stop {
         // Block on socket readiness (capped at one tick so the batch
-        // pass and timers run even when the wire is quiet). The
-        // cross-shard queue interrupts the wait through the doorbell's
+        // pass and timers run even when the wire is quiet). Every
+        // [`ShardQueue`] send — a delivery batch, a forwarded frame, a
+        // relayed record — interrupts the wait through the doorbell's
         // waker; a poll failure degrades to plain tick pacing.
         if host.poller.poll(&mut ready, MAX_POLL_TIMEOUT).is_err() {
             thread::sleep(TICK_REAL);
@@ -1968,4 +2006,110 @@ fn digest_report(shared: &Shared, domain: &DomainLink) -> String {
         ftd_replay::hash_domain_state(&groups)
     ));
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DomainHost;
+    use ftd_core::GwMsg;
+    use ftd_eternal::ObjectRegistry;
+    use ftd_obs::Stopwatch;
+
+    fn shard_queues(n: usize) -> (Vec<ShardQueue>, Vec<Receiver<ShardEv>>, Vec<Poller>) {
+        let mut queues = Vec::new();
+        let mut rxs = Vec::new();
+        let mut pollers = Vec::new();
+        for _ in 0..n {
+            let poller = Poller::new().unwrap();
+            let (tx, rx) = mpsc::channel();
+            queues.push(ShardQueue {
+                tx,
+                bell: Arc::new(Doorbell::new(poller.waker())),
+            });
+            rxs.push(rx);
+            pollers.push(poller);
+        }
+        (queues, rxs, pollers)
+    }
+
+    fn record(server: u32) -> Vec<u8> {
+        GwMsg::Record {
+            client: 1,
+            request_id: 1,
+            server: GroupId(server),
+        }
+        .encode()
+    }
+
+    /// The heap address of each delivered payload, in queue order.
+    fn delivered(rx: &Receiver<ShardEv>) -> Vec<*const u8> {
+        rx.try_iter()
+            .map(|ev| match ev {
+                ShardEv::Delivery(_, payload) => payload.as_ptr(),
+                _ => panic!("only deliveries are routed"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_rings_each_receiving_shard_once_and_moves_its_payloads() {
+        let router = ShardRouter::new(3).unwrap();
+        router.pin(GroupId(10), 0).unwrap();
+        router.pin(GroupId(11), 1).unwrap();
+        let (queues, rxs, _pollers) = shard_queues(3);
+        let gw = GroupId(0x4000_0001);
+        let batch = vec![(gw, record(10)), (gw, record(11)), (gw, record(10))];
+        let addrs: Vec<*const u8> = batch.iter().map(|(_, p)| p.as_ptr()).collect();
+
+        let mut rings = [0; 3];
+        route_batch(&router, &queues, batch, |i| rings[i] += 1);
+        assert_eq!(rings, [1, 1, 0], "one ring per receiving shard, none else");
+        // Moved, not copied: each shard holds the very buffers the pump
+        // produced.
+        assert_eq!(delivered(&rxs[0]), [addrs[0], addrs[2]]);
+        assert_eq!(delivered(&rxs[1]), [addrs[1]]);
+        assert!(delivered(&rxs[2]).is_empty());
+
+        // ClientGone fans out: every shard gets it and is rung once.
+        let gone = GwMsg::ClientGone { client: 1 }.encode();
+        let mut rings = [0; 3];
+        route_batch(&router, &queues, vec![(gw, gone)], |i| rings[i] += 1);
+        assert_eq!(rings, [1, 1, 1]);
+        for rx in &rxs {
+            assert_eq!(delivered(rx).len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_routed_delivery_wakes_a_shard_blocked_in_poll() {
+        let domain = DomainService::start(
+            Arc::new(Registry::new()),
+            || DomainHost::try_start(1, 2, 7, ObjectRegistry::new),
+            None,
+        )
+        .expect("domain starts");
+        let link = domain.link();
+        let router = Arc::new(ShardRouter::new(2).unwrap());
+        router.pin(GroupId(10), 1).unwrap();
+        let (queues, rxs, mut pollers) = shard_queues(2);
+        link.register_sink(delivery_sink(router, queues));
+
+        // A Record multicast to the gateway group comes back as one
+        // delivery, routed to shard 1. Its poll must return on the
+        // doorbell, long before the timeout.
+        link.multicast(GroupId(0x4000_0001), record(10));
+        let clock = RealClock::new();
+        let watch = Stopwatch::start(&clock);
+        pollers[1]
+            .poll(&mut Vec::new(), Duration::from_secs(10))
+            .unwrap();
+        let waited_ms = watch.elapsed_micros() / 1000;
+        assert!(
+            waited_ms < 5_000,
+            "shard slept {waited_ms} ms with a delivery queued"
+        );
+        // The delivery was queued before the ring that woke the poll.
+        assert_eq!(delivered(&rxs[1]).len(), 1);
+    }
 }

@@ -29,7 +29,9 @@ pub struct TotemConfig {
     /// a fresh gather round.
     pub commit_timeout: SimDuration,
     /// How quickly the last token holder retransmits an apparently
-    /// swallowed token.
+    /// swallowed token. It also bounds the ring leader's idle-token
+    /// hold: the hold plus one rotation stays under this, so no
+    /// member's retransmit timer fires while the leader holds.
     pub token_retransmit: SimDuration,
     /// Maximum new messages broadcast per token visit (flow control).
     pub max_messages_per_token: usize,

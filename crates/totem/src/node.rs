@@ -15,12 +15,19 @@
 //! reformation led by the lowest-id survivor. Sequence numbers never
 //! regress across reformations, which is what makes them usable as the
 //! globally unique operation-identifier timestamps of the paper's §3.3.
+//!
+//! An idle ring does not spin: the ring leader holds a token that found
+//! nothing to do for a whole rotation (Totem's token-retention timer),
+//! for a span bounded by `token_retransmit`. A send queued at the leader
+//! ends the hold at once (see [`TotemNode::release_hold`] and
+//! [`TotemNode::release_tag`]); one queued at another member waits for
+//! the hold to end.
 
 use crate::wire::{Beacon, Commit, Join, Pack, PackEntry, Regular, Token, TotemMsg};
 use crate::{
     DeliveryMode, GroupId, GroupMessage, MembershipView, RingEpoch, TotemConfig, TotemEvent,
 };
-use ftd_sim::{Context, Datagram, ProcessorId};
+use ftd_sim::{Context, Datagram, ProcessorId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Width of the timer-tag namespace a [`TotemNode`] claims from its host,
@@ -34,7 +41,8 @@ const KIND_COMMIT_WAIT: u64 = 3;
 const KIND_JOIN_RESEND: u64 = 4;
 const KIND_COMMIT_RESEND: u64 = 5;
 const KIND_BEACON: u64 = 6;
-const KIND_COUNT: usize = 7;
+const KIND_HOLD_RELEASE: u64 = 7;
+const KIND_COUNT: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -94,6 +102,12 @@ pub struct TotemNode {
     /// ago, so one still missing now is lost rather than in flight.
     seq_at_last_visit: u64,
     saved_token: Option<Token>,
+    /// When this node last forwarded the token; the ring leader measures
+    /// a rotation from it.
+    forwarded_at: SimTime,
+    /// The idle token the ring leader holds instead of forwarding (see
+    /// `idle_hold`), until its release timer or a local send.
+    held: Option<Token>,
 
     joins: BTreeMap<ProcessorId, Join>,
     /// Arm counters per timer kind; stale timer firings are ignored.
@@ -130,6 +144,8 @@ impl TotemNode {
             last_token_processed: 0,
             seq_at_last_visit: 0,
             saved_token: None,
+            forwarded_at: SimTime::ZERO,
+            held: None,
             joins: BTreeMap::new(),
             armed: [0; KIND_COUNT],
             commit_resend: None,
@@ -211,6 +227,33 @@ impl TotemNode {
         self.outputs.drain(..).collect()
     }
 
+    /// `true` while this node, as ring leader, holds the idle token
+    /// instead of forwarding it. A send queued now waits for the hold to
+    /// end unless the host calls [`TotemNode::release_hold`] or posts
+    /// [`TotemNode::release_tag`].
+    pub fn holds_token(&self) -> bool {
+        self.held.is_some()
+    }
+
+    /// Ends an idle-token hold at once if sends are queued, so they are
+    /// broadcast at this instant rather than when the hold expires.
+    /// Hosts call it after queuing multicasts from inside an actor
+    /// callback; it does nothing unless this node holds the token.
+    pub fn release_hold(&mut self, ctx: &mut Context<'_>) {
+        if !self.send_queue.is_empty() {
+            self.end_hold(ctx);
+        }
+    }
+
+    /// The timer tag that runs [`TotemNode::release_hold`] when it reaches
+    /// [`TotemNode::on_timer`]. A host that queues sends from outside the
+    /// world, with no [`Context`] at hand, posts it to this node's
+    /// processor as a zero-delay event. It lies in this node's tag range,
+    /// and no armed timer ever carries it.
+    pub fn release_tag(&self) -> u64 {
+        self.tag_base + KIND_HOLD_RELEASE
+    }
+
     /// Messages queued but not yet broadcast (flow-control backlog).
     pub fn backlog(&self) -> usize {
         self.send_queue.len()
@@ -265,6 +308,11 @@ impl TotemNode {
             return false;
         }
         let local = tag - self.tag_base;
+        if local == KIND_HOLD_RELEASE {
+            // Arm count 0: the posted release, never an armed timer.
+            self.release_hold(ctx);
+            return true;
+        }
         let kind = local & 0b111;
         let arm = local >> 3;
         if self.armed[kind as usize] != arm {
@@ -277,6 +325,7 @@ impl TotemNode {
             }
             KIND_GATHER_END => self.gather_end(ctx),
             KIND_TOKEN_RETRANSMIT => self.maybe_retransmit_token(ctx),
+            KIND_HOLD_RELEASE => self.end_hold(ctx),
             KIND_COMMIT_WAIT => {
                 if self.state == State::AwaitCommit {
                     ctx.stats().inc("totem.commit_timeouts");
@@ -342,6 +391,8 @@ impl TotemNode {
         ctx.stats().inc("totem.gathers");
         self.state = State::Gather;
         self.saved_token = None;
+        self.held = None;
+        self.disarm(KIND_HOLD_RELEASE);
         self.disarm(KIND_TOKEN_LOSS);
         self.disarm(KIND_TOKEN_RETRANSMIT);
         self.disarm(KIND_COMMIT_WAIT);
@@ -469,6 +520,8 @@ impl TotemNode {
         self.ring = commit.members.clone();
         self.high_seq = self.high_seq.max(commit.start_seq);
         self.last_token_processed = 0;
+        self.held = None;
+        self.disarm(KIND_HOLD_RELEASE);
         self.disarm(KIND_GATHER_END);
         self.disarm(KIND_COMMIT_WAIT);
 
@@ -539,7 +592,7 @@ impl TotemNode {
                 members: commit.members,
                 rtr: Vec::new(),
             };
-            self.process_token(ctx, token);
+            self.process_token(ctx, token, true);
         }
     }
 
@@ -623,10 +676,12 @@ impl TotemNode {
         if !token.members.contains(&self.me) {
             return;
         }
-        self.process_token(ctx, token);
+        self.process_token(ctx, token, true);
     }
 
-    fn process_token(&mut self, ctx: &mut Context<'_>, mut token: Token) {
+    /// One token visit. `may_hold` is `false` when the visit ends a
+    /// hold: a released token is always forwarded.
+    fn process_token(&mut self, ctx: &mut Context<'_>, mut token: Token, may_hold: bool) {
         self.last_token_processed = token.token_id;
         self.arm(ctx, KIND_TOKEN_LOSS, self.config.token_loss_timeout);
 
@@ -731,7 +786,18 @@ impl TotemNode {
             }
         }
 
-        // 6. Forward to the successor.
+        // 6. Hold the token if the ring is idle (ring leader only), else
+        // forward it to the successor.
+        if may_hold {
+            if let Some(hold) = self.idle_hold(ctx.now(), &token) {
+                ctx.stats().inc("totem.token_holds");
+                self.held = Some(token);
+                // Resending the token this visit superseded is pointless.
+                self.disarm(KIND_TOKEN_RETRANSMIT);
+                self.arm(ctx, KIND_HOLD_RELEASE, hold);
+                return;
+            }
+        }
         self.seq_at_last_visit = token.seq;
         token.token_id += 1;
         let successor = token.successor_of(self.me);
@@ -744,7 +810,46 @@ impl TotemNode {
         }
         ctx.datagram_to(successor, TotemMsg::Token(token.clone()).encode());
         self.saved_token = Some(token);
+        self.forwarded_at = ctx.now();
         self.arm(ctx, KIND_TOKEN_RETRANSMIT, self.config.token_retransmit);
+    }
+
+    /// How long the ring leader may hold `token` instead of forwarding it
+    /// — Totem's token-retention timer — or `None` to forward it now.
+    ///
+    /// The leader holds only an idle ring: the full rotation since its
+    /// previous visit assigned no new sequence number (so it sends
+    /// nothing itself either), nothing is requested for retransmission,
+    /// and the aru shows every member, this one included, holding
+    /// everything up to `token.seq`. The hold is what is left of
+    /// `token_retransmit` after one and a half times the rotation just
+    /// measured: one rotation for the token's next circuit after the
+    /// release, half of one as headroom for jitter. So no member's
+    /// retransmit timer (nor the much longer token-loss timer) fires
+    /// while the leader holds. Under safe delivery, a member the token
+    /// reached before the aru settled learns of stability one hold later.
+    fn idle_hold(&self, now: SimTime, token: &Token) -> Option<SimDuration> {
+        let previous = self.saved_token.as_ref()?;
+        let idle = self.ring.first() == Some(&self.me)
+            && previous.epoch == token.epoch
+            && previous.seq == token.seq
+            && token.aru == token.seq
+            && token.rtr.is_empty();
+        let rotation = now.saturating_since(self.forwarded_at);
+        let hold = self
+            .config
+            .token_retransmit
+            .saturating_sub(rotation * 3 / 2);
+        (idle && !hold.is_zero()).then_some(hold)
+    }
+
+    /// Forwards a held token, after broadcasting whatever was queued
+    /// meanwhile: the visit runs again, with holding disallowed.
+    fn end_hold(&mut self, ctx: &mut Context<'_>) {
+        if let Some(token) = self.held.take() {
+            self.disarm(KIND_HOLD_RELEASE);
+            self.process_token(ctx, token, false);
+        }
     }
 
     /// Broadcasts the frame accumulated at a token visit: a lone message

@@ -66,8 +66,6 @@ impl Actor for Host {
         if tag == EXTRA_TICK {
             self.totem
                 .multicast(APP_GROUP, format!("extra:{}", ctx.me().0).into_bytes());
-            self.drain();
-            return;
         }
         if tag == SEND_TICK && self.sent < self.to_send {
             let payload = format!("{}:{}", ctx.me().0, self.sent).into_bytes();
@@ -77,6 +75,7 @@ impl Actor for Host {
                 ctx.set_timer(SimDuration::from_micros(200), SEND_TICK);
             }
         }
+        self.totem.release_hold(ctx);
         self.drain();
     }
 
@@ -670,4 +669,123 @@ fn sequence_numbers_never_regress_across_reformations() {
         "traffic flowed every round: {}",
         seqs.len()
     );
+}
+
+/// Forms an idle 4-node ring and steps it, event by event, until the
+/// ring leader (`procs[0]`) holds the token.
+fn held_ring(seed: u64) -> (World, Vec<ProcessorId>) {
+    let (mut world, procs) = build(4, seed, 0.0, TotemConfig::default(), 0);
+    world.run_for(SimDuration::from_millis(20));
+    for _ in 0..100_000 {
+        if world.actor::<Host>(procs[0]).unwrap().totem.holds_token() {
+            return (world, procs);
+        }
+        world.step();
+    }
+    panic!("the leader of an idle ring never held the token");
+}
+
+#[test]
+fn idle_token_hold_cuts_rotations_without_tripping_timers() {
+    let (mut world, procs) = build(4, 41, 0.0, TotemConfig::default(), 0);
+    world.run_for(SimDuration::from_millis(20));
+    let before = world.stats().clone();
+    let since = |world: &World, name: &str| world.stats().counter(name) - before.counter(name);
+    world.run_for(SimDuration::from_secs(1));
+    // An unheld token needs at most 4 × (latency + jitter) = 240 µs per
+    // rotation, so it would rotate at least 1 s / 240 µs ≈ 4,166 times.
+    let lan = LanConfig::default();
+    let unheld = SimDuration::from_secs(1).as_nanos() / ((lan.latency + lan.jitter) * 4).as_nanos();
+    let (rotations, holds) = (
+        since(&world, "totem.token_rotations"),
+        since(&world, "totem.token_holds"),
+    );
+    eprintln!("idle second: {rotations} rotations (unheld >= {unheld}), {holds} holds");
+    assert!(
+        rotations * 3 <= unheld,
+        "{rotations} rotations in 1 s: less than 3× below the unheld {unheld}"
+    );
+    assert!(holds > 0);
+    for timer in [
+        "totem.token_retransmits",
+        "totem.token_loss_timeouts",
+        "totem.gathers",
+    ] {
+        assert_eq!(since(&world, timer), 0, "{timer} fired on an idle ring");
+    }
+    for &p in &procs {
+        assert!(world.actor::<Host>(p).unwrap().totem.is_operational());
+    }
+}
+
+#[test]
+fn a_leader_send_during_a_hold_is_broadcast_at_the_same_instant() {
+    let (mut world, procs) = held_ring(42);
+    let broadcasts = world.stats().counter("totem.broadcasts");
+    let at = world.now();
+    world.post(procs[0], EXTRA_TICK);
+    world.run_for(SimDuration::ZERO);
+    assert_eq!(world.now(), at);
+    assert_eq!(world.stats().counter("totem.broadcasts"), broadcasts + 1);
+    assert!(!world.actor::<Host>(procs[0]).unwrap().totem.holds_token());
+    world.run_for(SimDuration::from_millis(5));
+    let seqs = sequences(&world, &procs);
+    assert_eq!(seqs[0].len(), 1);
+    for other in &seqs[1..] {
+        assert_eq!(&seqs[0], other);
+    }
+}
+
+#[test]
+fn a_non_leader_send_waits_at_most_the_hold() {
+    let config = TotemConfig::default();
+    let (mut world, procs) = held_ring(43);
+    let broadcasts = world.stats().counter("totem.broadcasts");
+    let at = world.now();
+    world.post(procs[2], EXTRA_TICK);
+    let step = SimDuration::from_micros(10);
+    while world.stats().counter("totem.broadcasts") == broadcasts {
+        assert!(
+            world.now() - at < SimDuration::from_millis(10),
+            "never sent"
+        );
+        world.run_for(step);
+    }
+    // The hold plus the rest of one rotation stays under the retransmit
+    // interval the hold is derived from.
+    let waited = world.now() - at;
+    assert!(
+        waited <= config.token_retransmit,
+        "a non-leader send waited {waited}"
+    );
+}
+
+#[test]
+fn crashing_a_member_during_a_hold_reforms_the_ring() {
+    // The leader itself (the held token dies with it) and its successor
+    // (the released token is forwarded into the void).
+    for victim in [0, 1] {
+        let (mut world, procs) = held_ring(44 + victim as u64);
+        world.crash(procs[victim]);
+        world.run_for(SimDuration::from_millis(60));
+        let survivors: Vec<ProcessorId> = procs
+            .iter()
+            .copied()
+            .filter(|&p| p != procs[victim])
+            .collect();
+        for &p in &survivors {
+            let host: &Host = world.actor(p).unwrap();
+            assert!(host.totem.is_operational(), "{p} after crashing {victim}");
+            assert_eq!(host.totem.ring(), survivors.as_slice());
+        }
+        for &p in &survivors {
+            world.post(p, EXTRA_TICK);
+        }
+        world.run_for(SimDuration::from_millis(60));
+        let seqs = sequences(&world, &survivors);
+        assert_eq!(seqs[0].len(), 3, "after crashing {victim}");
+        for other in &seqs[1..] {
+            assert_eq!(&seqs[0], other);
+        }
+    }
 }
