@@ -6,13 +6,13 @@
 //! a seeded fault mix (drops, delays, mid-message truncations, resets,
 //! duplicated request chunks — plus optional blackout windows and an
 //! optional live domain-processor crash/recovery). Every client retries
-//! each `add` under the §3.5 reconnect-and-reissue discipline until it
-//! is acknowledged, always under the *same* request id, so the run can
-//! assert the strongest property the paper claims: **exactly-once
-//! delivery** — the final replicated counter equals the sum of every
-//! acknowledged add, with zero duplicate executions and zero lost
-//! acknowledged replies — verified against the gateway engine's own
-//! counters.
+//! each `add` under the §3.5 reconnect-and-reissue discipline of
+//! [`ftd_bench::soak`] until it is acknowledged, always under the *same*
+//! request id, so the run can assert the strongest property the paper
+//! claims: **exactly-once delivery** — the final replicated counter
+//! equals the sum of every acknowledged add, with zero duplicate
+//! executions and zero lost acknowledged replies — verified against the
+//! gateway engine's own counters.
 //!
 //! ```text
 //! ftd-chaos-soak [--seed N] [--clients N] [--requests N]
@@ -44,20 +44,27 @@
 //! Exit code 0 iff every assertion held; `--json` additionally writes a
 //! machine-readable report (consumed by the CI chaos and recovery jobs).
 
+use ftd_bench::cli::{self, die, Args, CliError, Json};
+use ftd_bench::counter_host;
+use ftd_bench::soak::{self, Probe, Target};
 use ftd_chaos::{Blackout, ChaosProxy, FaultPlan};
 use ftd_core::EngineConfig;
-use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
-use ftd_giop::ReplyStatus;
-use ftd_net::{DomainFault, DomainHost, DurableHost, GatewayServer, NetClient, RetryPolicy};
-use ftd_replay::{style_tag, GroupSpec, Recorder, ReplayEvent};
+use ftd_eternal::ReplicationStyle;
+use ftd_net::{DomainFault, DurableHost, GatewayBuilder, GatewayServer};
+use ftd_replay::{style_tag, GroupSpec, ReplayEvent};
 use ftd_store::FsyncPolicy;
 use ftd_totem::GroupId;
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const GROUP: GroupId = GroupId(10);
+/// The verdict reader's client id.
+const VERIFIER: u32 = 0xFFFF;
+
+const USAGE: &str = "ftd-chaos-soak [--seed N] [--clients N] [--requests N] \
+                     [--fault-probability F] [--blackout] [--crash] \
+                     [--restart] [--data-dir DIR] [--record DIR] [--json PATH]";
 
 struct Opts {
     seed: u64,
@@ -72,17 +79,7 @@ struct Opts {
     json: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("ftd-chaos-soak: {msg}");
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| die(&format!("bad numeric value: {s}")))
-}
-
-fn parse_opts() -> Opts {
+fn parse_opts(args: &mut Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         seed: 42,
         clients: 4,
@@ -95,134 +92,41 @@ fn parse_opts() -> Opts {
         record: None,
         json: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--seed" => opts.seed = parse(&value("--seed")),
-            "--clients" => opts.clients = parse(&value("--clients")),
-            "--requests" => opts.requests = parse(&value("--requests")),
-            "--fault-probability" => opts.fault_probability = parse(&value("--fault-probability")),
+            "--seed" => opts.seed = args.number()?,
+            "--clients" => opts.clients = args.number()?,
+            "--requests" => opts.requests = args.number()?,
+            "--fault-probability" => opts.fault_probability = args.number()?,
             "--blackout" => opts.blackout = true,
             "--crash" => opts.crash = true,
             "--restart" => opts.restart = true,
-            "--data-dir" => opts.data_dir = Some(PathBuf::from(value("--data-dir"))),
-            "--record" => opts.record = Some(PathBuf::from(value("--record"))),
-            "--json" => opts.json = Some(value("--json")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ftd-chaos-soak [--seed N] [--clients N] [--requests N] \
-                     [--fault-probability F] [--blackout] [--crash] \
-                     [--restart] [--data-dir DIR] [--record DIR] [--json PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
+            "--data-dir" => opts.data_dir = Some(args.value()?.into()),
+            "--record" => opts.record = Some(args.value()?.into()),
+            "--json" => opts.json = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
     }
     if opts.clients == 0 || opts.requests == 0 {
-        die("--clients and --requests must be >= 1");
+        return Err(CliError::Bad(
+            "--clients and --requests must be >= 1".to_owned(),
+        ));
     }
-    opts
+    Ok(opts)
 }
 
-/// The deterministic amount client `i` adds on its `k`-th request.
-fn amount(i: u32, k: u32) -> u64 {
-    (i as u64 * 37 + k as u64 * 11) % 9 + 1
-}
-
-struct ClientOutcome {
-    acked_sum: u64,
-    reconnects: u64,
-    reissues: u64,
-}
-
-/// Drives one client: every add is pushed until acknowledged, reissuing
-/// under the SAME request id after `invoke_retrying` itself gives up
-/// (e.g. a blackout window outlasting the policy), so an unacknowledged
-/// attempt can never double-execute under a second identity.
-fn run_client(
-    proxy_addr: std::net::SocketAddr,
-    object_key: Vec<u8>,
-    client_index: u32,
-    requests: u32,
-) -> ClientOutcome {
-    let policy = RetryPolicy {
-        retries: 8,
-        backoff: Duration::from_millis(20),
-        max_backoff: Duration::from_millis(300),
-        timeout: Duration::from_secs(2),
-    };
-    let id = 0x5001 + client_index;
-    let mut client = loop {
-        match NetClient::builder()
-            .addr(proxy_addr, object_key.clone())
-            .client_id(id)
-            .connect()
-        {
-            Ok(c) => break c,
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    };
-    client
-        .set_read_timeout(Duration::from_secs(2))
-        .expect("read timeout");
-
-    let mut acked_sum = 0u64;
-    for k in 0..requests {
-        let add = amount(client_index, k);
-        let bytes = add.to_be_bytes();
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let mut issued = false;
-        loop {
-            let result = if !issued {
-                client.invoke_retrying("add", &bytes, &policy)
-            } else {
-                // The id is already on the wire somewhere: reissue it
-                // verbatim so the gateway's cache (or the domain's
-                // duplicate detection) keeps the add exactly-once.
-                match client.is_connected() {
-                    true => client.resend(client.last_request_id(), "add", &bytes),
-                    false => client
-                        .reconnect()
-                        .and_then(|()| client.resend(client.last_request_id(), "add", &bytes)),
-                }
-            };
-            issued = true;
-            match result {
-                Ok(reply) if reply.reply_status == ReplyStatus::NoException => {
-                    acked_sum += add;
-                    break;
-                }
-                Ok(reply) => die(&format!(
-                    "client {client_index} request {k}: unexpected reply status {:?}",
-                    reply.reply_status
-                )),
-                Err(_) if Instant::now() < deadline => {
-                    client.disconnect();
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Err(e) => die(&format!(
-                    "client {client_index} request {k}: never acknowledged: {e}"
-                )),
-            }
-        }
+/// The soak's gateway (domain 9, on an ephemeral loopback port),
+/// recording under `record` if given. A recording starts with the fixed
+/// topology (4 processors, one 3-replica active `Counter` group) so
+/// `ftd-replay` can rebuild the world.
+fn gateway(seed: u64, record: Option<&Path>) -> GatewayBuilder {
+    let mut builder = GatewayServer::builder()
+        .addr("127.0.0.1:0")
+        .config(EngineConfig::new(9, GroupId(0x4000_0009), 0));
+    if let Some(dir) = record {
+        builder = builder.record_dir(dir);
     }
-    ClientOutcome {
-        acked_sum,
-        reconnects: client.reconnects(),
-        reissues: client.reissues(),
-    }
-}
-
-/// Records the soak's fixed topology (domain 9, 4 processors, one
-/// 3-replica active `Counter` group) so `ftd-replay` can rebuild the
-/// world, and announces the recording on stderr.
-fn record_topology(recorder: &Option<Arc<Recorder>>, seed: u64) {
-    if let Some(rec) = recorder {
+    if let Some(rec) = builder.recorder() {
         rec.record(&ReplayEvent::Topology {
             domain: 9,
             processors: 4,
@@ -236,6 +140,7 @@ fn record_topology(recorder: &Option<Arc<Recorder>>, seed: u64) {
         });
         eprintln!("ftd-chaos-soak: recording to {}", rec.dir().display());
     }
+    builder
 }
 
 /// A durable gateway for the restart phase: the same domain/group shape
@@ -245,29 +150,12 @@ fn record_topology(recorder: &Option<Arc<Recorder>>, seed: u64) {
 /// including whatever recovery the data dir forces at bring-up.
 fn start_durable_gateway(dir: &Path, seed: u64, record: Option<&Path>) -> GatewayServer {
     let data_dir = dir.to_path_buf();
-    let mut builder = GatewayServer::builder()
-        .addr("127.0.0.1:0")
-        .config(EngineConfig::new(9, GroupId(0x4000_0009), 0))
-        .data_dir(dir);
-    if let Some(record) = record {
-        builder = builder.record_dir(record);
-    }
+    let builder = gateway(seed, record).data_dir(dir);
     let recorder = builder.recorder();
-    record_topology(&recorder, seed);
     builder
         .host(move || {
-            let mut host = DomainHost::try_start(9, 4, seed, || {
-                let mut reg = ObjectRegistry::new();
-                reg.register("Counter", Box::new(|| Box::new(Counter::new())));
-                reg
-            })?;
-            host.create_group(
-                GROUP,
-                "Counter",
-                FtProperties::new(ReplicationStyle::Active).with_initial(3),
-            );
             let (durable, _) = DurableHost::open_recording(
-                host,
+                counter_host(9, seed, [GROUP])?,
                 &data_dir,
                 FsyncPolicy::Always,
                 None,
@@ -278,93 +166,6 @@ fn start_durable_gateway(dir: &Path, seed: u64, record: Option<&Path>) -> Gatewa
         })
         .build()
         .unwrap_or_else(|e| die(&format!("durable gateway start failed: {e}")))
-}
-
-/// Drives one client through the kill-and-restart phase. The gateway's
-/// address changes mid-run (the restarted incarnation binds a fresh port
-/// — the old one lingers in TIME_WAIT), so every retry first re-reads
-/// the shared target and retargets the connection. Retargeting keeps the
-/// client identity and request-id sequence, so reissues reach the new
-/// incarnation under their original ids and stay exactly-once.
-fn run_restart_client(
-    target: Arc<Mutex<SocketAddr>>,
-    object_key: Vec<u8>,
-    client_index: u32,
-    requests: u32,
-) -> ClientOutcome {
-    let policy = RetryPolicy {
-        retries: 4,
-        backoff: Duration::from_millis(20),
-        max_backoff: Duration::from_millis(200),
-        timeout: Duration::from_secs(2),
-    };
-    let id = 0x5001 + client_index;
-    let mut current = *target.lock().expect("target lock");
-    let mut client = loop {
-        match NetClient::builder()
-            .addr(current, object_key.clone())
-            .client_id(id)
-            .connect()
-        {
-            Ok(c) => break c,
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    };
-    client
-        .set_read_timeout(Duration::from_secs(2))
-        .expect("read timeout");
-
-    let mut acked_sum = 0u64;
-    for k in 0..requests {
-        let add = amount(client_index, k);
-        let bytes = add.to_be_bytes();
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let mut issued = false;
-        loop {
-            let latest = *target.lock().expect("target lock");
-            if latest != current {
-                current = latest;
-                client.retarget(current).expect("retarget");
-            }
-            let result = if !issued {
-                client.invoke_retrying("add", &bytes, &policy)
-            } else {
-                // Same discipline as the proxy soak: once an id is on
-                // the wire, only ever reissue it verbatim.
-                match client.is_connected() {
-                    true => client.resend(client.last_request_id(), "add", &bytes),
-                    false => client
-                        .reconnect()
-                        .and_then(|()| client.resend(client.last_request_id(), "add", &bytes)),
-                }
-            };
-            issued = true;
-            match result {
-                Ok(reply) if reply.reply_status == ReplyStatus::NoException => {
-                    acked_sum += add;
-                    break;
-                }
-                Ok(reply) => die(&format!(
-                    "restart client {client_index} request {k}: unexpected reply status {:?}",
-                    reply.reply_status
-                )),
-                Err(_) if Instant::now() < deadline => {
-                    client.disconnect();
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => die(&format!(
-                    "restart client {client_index} request {k}: never acknowledged: {e}"
-                )),
-            }
-        }
-        // Pace the load so it straddles the kill and the recovery window.
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    ClientOutcome {
-        acked_sum,
-        reconnects: client.reconnects(),
-        reissues: client.reissues(),
-    }
 }
 
 /// The kill-and-restart phase (`--restart`). Clients hammer a durable
@@ -393,12 +194,15 @@ fn run_restart_soak(opts: &Opts) {
     let record_inc = |i: u32| opts.record.as_ref().map(|dir| dir.join(format!("inc-{i}")));
 
     let server = start_durable_gateway(&data_dir, opts.seed, record_inc(0).as_deref());
-    let ior = server.ior("IDL:Counter:1.0", GROUP);
-    let object_key = ior
+    let object_key = server
+        .ior("IDL:Counter:1.0", GROUP)
         .primary_iiop()
         .unwrap_or_else(|e| die(&format!("bad IOR: {e:?}")))
         .object_key;
-    let target = Arc::new(Mutex::new(server.local_addr()));
+    // The restarted incarnation binds a fresh port; every client re-reads
+    // this before each attempt.
+    let addr = Arc::new(Mutex::new(server.local_addr()));
+    let target = Target::Shared(addr.clone(), object_key.clone());
 
     eprintln!(
         "ftd-chaos-soak: restart phase: seed={} clients={} requests={} data_dir={}",
@@ -408,33 +212,19 @@ fn run_restart_soak(opts: &Opts) {
         data_dir.display()
     );
 
-    // The probe: one add acknowledged by the FIRST incarnation. After
-    // the kill, reissuing it must return the identical bytes from the
-    // recovered cache — the "zero lost acked replies" witness.
-    let mut probe = NetClient::builder()
-        .addr(server.local_addr(), object_key.clone())
-        .client_id(0xA001)
-        .connect()
-        .unwrap_or_else(|e| die(&format!("probe connect: {e}")));
-    probe
-        .set_read_timeout(Duration::from_secs(5))
-        .expect("probe timeout");
-    let probe_reply = probe
-        .invoke("add", &5u64.to_be_bytes())
-        .unwrap_or_else(|e| die(&format!("probe add: {e}")));
-    let probe_id = probe.last_request_id();
+    // The probe: acknowledged by the FIRST incarnation, it must come
+    // back byte-identical from the recovered cache after the kill — the
+    // "zero lost acked replies" witness.
+    let probe = Probe::ack(target.clone()).unwrap_or_else(|e| die(&e));
 
-    let workers: Vec<_> = (0..opts.clients)
-        .map(|i| {
-            let target = target.clone();
-            let key = object_key.clone();
-            let requests = opts.requests;
-            std::thread::Builder::new()
-                .name(format!("restart-client-{i}"))
-                .spawn(move || run_restart_client(target, key, i, requests))
-                .expect("spawn client")
-        })
-        .collect();
+    // Paced so the load straddles the kill and the recovery window.
+    let load = soak::spawn_load(
+        opts.clients,
+        opts.requests,
+        0,
+        Duration::from_millis(25),
+        |_| target.clone(),
+    );
 
     // Kill mid-load: no quiesce, no checkpoint — crash-equivalent.
     std::thread::sleep(Duration::from_millis(400));
@@ -449,80 +239,22 @@ fn run_restart_soak(opts: &Opts) {
         opts.seed.wrapping_add(1),
         record_inc(1).as_deref(),
     );
-    *target.lock().expect("target lock") = server.local_addr();
+    *addr.lock().expect("target lock") = server.local_addr();
     eprintln!(
         "ftd-chaos-soak: restarted from {} on {}",
         data_dir.display(),
         server.local_addr()
     );
 
-    let outcomes: Vec<ClientOutcome> = workers
-        .into_iter()
-        .map(|w| match w.join() {
-            Ok(outcome) => outcome,
-            Err(_) => die("a restart client thread panicked"),
-        })
-        .collect();
+    let load = soak::join_load(load).unwrap_or_else(|e| die(&e));
+    let probe_failure = probe
+        .reissue("the dead incarnation")
+        .unwrap_or_else(|e| die(&e));
 
-    // Reissue the probe's pre-kill request against the new incarnation.
-    probe
-        .retarget(server.local_addr())
-        .unwrap_or_else(|e| die(&format!("probe retarget: {e}")));
-    let reissue_deadline = Instant::now() + Duration::from_secs(30);
-    let replayed = loop {
-        let attempt = if probe.is_connected() {
-            probe.resend(probe_id, "add", &5u64.to_be_bytes())
-        } else {
-            probe
-                .reconnect()
-                .and_then(|()| probe.resend(probe_id, "add", &5u64.to_be_bytes()))
-        };
-        match attempt {
-            Ok(reply) => break reply,
-            Err(e) if Instant::now() < reissue_deadline => {
-                eprintln!("ftd-chaos-soak: probe reissue retry ({e})");
-                probe.disconnect();
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => die(&format!("probe reissue: {e}")),
-        }
-    };
-
-    let expected_load: u64 = (0..opts.clients)
-        .flat_map(|i| (0..opts.requests).map(move |k| amount(i, k)))
-        .sum();
-    let acked_sum: u64 = outcomes.iter().map(|o| o.acked_sum).sum();
-    let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();
-    let reissues: u64 = outcomes.iter().map(|o| o.reissues).sum();
-    let expected_sum = expected_load + 5; // load + probe
-
-    // The verdict read, from a fresh identity against the survivor.
-    let verify_deadline = Instant::now() + Duration::from_secs(60);
-    let reply = loop {
-        let attempt = NetClient::builder()
-            .addr(server.local_addr(), object_key.clone())
-            .client_id(0xFFFF)
-            .connect()
-            .and_then(|mut verifier| {
-                verifier.set_read_timeout(Duration::from_secs(5))?;
-                verifier.invoke("get", &[])
-            });
-        match attempt {
-            Ok(reply) => break reply,
-            Err(e) if Instant::now() < verify_deadline => {
-                eprintln!("ftd-chaos-soak: verify retry ({e})");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            Err(e) => die(&format!("verify get: {e}")),
-        }
-    };
-    let final_value = u64::from_be_bytes(
-        reply
-            .body
-            .as_slice()
-            .try_into()
-            .unwrap_or_else(|_| die("verify get: non-u64 reply")),
-    );
+    let expected_load = soak::schedule_sum(opts.clients, opts.requests);
+    let expected_sum = expected_load + soak::PROBE_ADD;
+    let final_value = soak::read_final(&Target::Addr(server.local_addr(), object_key), VERIFIER)
+        .unwrap_or_else(|e| die(&e));
 
     let stats = server.shutdown();
     let cache_hits = stats.counter("gateway.reissues_served_from_cache");
@@ -530,34 +262,19 @@ fn run_restart_soak(opts: &Opts) {
     let elapsed = started.elapsed();
 
     eprintln!(
-        "ftd-chaos-soak: restart: acked_sum={acked_sum} final={final_value} \
+        "ftd-chaos-soak: restart: acked_sum={} final={final_value} \
          cache_hits={cache_hits} responses_recovered={responses_recovered} \
-         reconnects={reconnects} reissues={reissues}"
+         reconnects={} reissues={}",
+        load.acked_sum, load.reconnects, load.reissues
     );
 
-    let mut failures = Vec::new();
-    if replayed.body != probe_reply.body {
-        failures.push(format!(
-            "lost acked reply: probe reissue answered {:?}, the dead incarnation acked {:?}",
-            replayed.body, probe_reply.body
-        ));
-    }
-    if acked_sum != expected_load {
-        failures.push(format!(
-            "lost acknowledged adds: acked {acked_sum} != attempted {expected_load}"
-        ));
-    }
-    if final_value != expected_sum {
-        failures.push(format!(
-            "exactly-once violated across restart: final counter {final_value} != \
-             acked sum {expected_sum} ({} it)",
-            if final_value > expected_sum {
-                "duplicate executions inflated"
-            } else {
-                "lost acknowledged replies deflated"
-            }
-        ));
-    }
+    let mut failures: Vec<String> = probe_failure.into_iter().collect();
+    failures.extend(soak::check_acked(load.acked_sum, expected_load));
+    failures.extend(soak::check_final(
+        " across restart",
+        final_value,
+        expected_sum,
+    ));
     if responses_recovered == 0 {
         failures.push(
             "the restarted gateway recovered no cached responses — the kill landed \
@@ -572,85 +289,62 @@ fn run_restart_soak(opts: &Opts) {
         );
     }
 
-    let passed = failures.is_empty();
     if let Some(path) = &opts.json {
-        let json = format!(
-            "{{\n  \"seed\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \
-             \"restart\": true,\n  \"data_dir\": \"{}\",\n  \
-             \"expected_sum\": {expected_sum},\n  \"acked_sum\": {acked_sum},\n  \
-             \"final_value\": {final_value},\n  \"client_reconnects\": {reconnects},\n  \
-             \"client_reissues\": {reissues},\n  \"engine\": {{\n    \
-             \"reissues_served_from_cache\": {cache_hits},\n    \
-             \"responses_recovered\": {responses_recovered}\n  }},\n  \
-             \"elapsed_ms\": {},\n  \"passed\": {passed}\n}}\n",
-            opts.seed,
-            opts.clients,
-            opts.requests,
-            data_dir.display(),
-            elapsed.as_millis(),
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        Json::new()
+            .raw("seed", opts.seed)
+            .raw("clients", opts.clients)
+            .raw("requests_per_client", opts.requests)
+            .raw("restart", true)
+            .str("data_dir", &data_dir.display().to_string())
+            .raw("expected_sum", expected_sum)
+            .raw("acked_sum", load.acked_sum)
+            .raw("final_value", final_value)
+            .raw("client_reconnects", load.reconnects)
+            .raw("client_reissues", load.reissues)
+            .object(
+                "engine",
+                Json::new()
+                    .raw("reissues_served_from_cache", cache_hits)
+                    .raw("responses_recovered", responses_recovered),
+            )
+            .raw("elapsed_ms", elapsed.as_millis())
+            .raw("passed", failures.is_empty())
+            .write(path);
     }
 
     if opts.data_dir.is_none() {
         let _ = std::fs::remove_dir_all(&data_dir);
     }
 
-    if passed {
-        println!(
-            "PASS restart seed={} clients={} requests={} final={final_value} \
-             cache_hits={cache_hits} reconnects={reconnects} reissues={reissues} \
-             elapsed={:.1}s",
-            opts.seed,
+    soak::verdict(
+        &failures,
+        &format!("restart seed={}", opts.seed),
+        &format!(
+            "clients={} requests={} final={final_value} cache_hits={cache_hits} \
+             reconnects={} reissues={} elapsed={:.1}s",
             opts.clients,
             opts.requests,
+            load.reconnects,
+            load.reissues,
             elapsed.as_secs_f64()
-        );
-    } else {
-        for f in &failures {
-            eprintln!("ftd-chaos-soak: FAIL: {f}");
-        }
-        println!(
-            "FAIL restart seed={} ({} violations)",
-            opts.seed,
-            failures.len()
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = cli::parse(USAGE, parse_opts);
     if opts.restart {
         run_restart_soak(&opts);
         return;
     }
     let started = Instant::now();
 
-    let config = EngineConfig::new(9, GroupId(0x4000_0009), 0);
-    let mut builder = GatewayServer::builder().addr("127.0.0.1:0").config(config);
     if let Some(dir) = &opts.record {
         let _ = std::fs::remove_dir_all(dir);
-        builder = builder.record_dir(dir.clone());
     }
-    record_topology(&builder.recorder(), opts.seed);
-    let server = builder
-        .host({
-            let seed = opts.seed;
-            move || {
-                let mut host = DomainHost::try_start(9, 4, seed, || {
-                    let mut reg = ObjectRegistry::new();
-                    reg.register("Counter", Box::new(|| Box::new(Counter::new())));
-                    reg
-                })?;
-                host.create_group(
-                    GROUP,
-                    "Counter",
-                    FtProperties::new(ReplicationStyle::Active).with_initial(3),
-                );
-                Ok::<_, ftd_core::Error>(host)
-            }
-        })
+    let seed = opts.seed;
+    let server = gateway(seed, opts.record.as_deref())
+        .host(move || counter_host(9, seed, [GROUP]))
         .build()
         .unwrap_or_else(|e| die(&format!("gateway start failed: {e}")));
 
@@ -675,17 +369,10 @@ fn main() {
         opts.seed, opts.clients, opts.requests, opts.fault_probability, opts.blackout, opts.crash
     );
 
-    let workers: Vec<_> = (0..opts.clients)
-        .map(|i| {
-            let addr = proxy.local_addr();
-            let key = object_key.clone();
-            let requests = opts.requests;
-            std::thread::Builder::new()
-                .name(format!("soak-client-{i}"))
-                .spawn(move || run_client(addr, key, i, requests))
-                .expect("spawn client")
-        })
-        .collect();
+    let through_proxy = Target::Addr(proxy.local_addr(), object_key);
+    let load = soak::spawn_load(opts.clients, opts.requests, 0, Duration::ZERO, |_| {
+        through_proxy.clone()
+    });
 
     // Mid-run domain chaos, from the only thread that may touch `server`.
     if opts.crash {
@@ -697,51 +384,13 @@ fn main() {
         eprintln!("ftd-chaos-soak: recovered domain processor 2");
     }
 
-    let outcomes: Vec<ClientOutcome> = workers
-        .into_iter()
-        .map(|w| match w.join() {
-            Ok(outcome) => outcome,
-            Err(_) => die("a client thread panicked"),
-        })
-        .collect();
+    let load = soak::join_load(load).unwrap_or_else(|e| die(&e));
+    let expected_sum = soak::schedule_sum(opts.clients, opts.requests);
 
-    let expected_sum: u64 = (0..opts.clients)
-        .flat_map(|i| (0..opts.requests).map(move |k| amount(i, k)))
-        .sum();
-    let acked_sum: u64 = outcomes.iter().map(|o| o.acked_sum).sum();
-    let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();
-    let reissues: u64 = outcomes.iter().map(|o| o.reissues).sum();
-
-    // The verdict read: a clean direct connection (no proxy), fresh
-    // identity, one `get`. The gateway may still be degraded (sheds the
-    // connection) right after a `--crash` recovery, so keep trying until
-    // the ring has healed.
-    let verify_deadline = Instant::now() + Duration::from_secs(60);
-    let reply = loop {
-        let attempt = NetClient::builder()
-            .ior(&ior)
-            .client_id(0xFFFF)
-            .connect()
-            .and_then(|mut verifier| {
-                verifier.set_read_timeout(Duration::from_secs(5))?;
-                verifier.invoke("get", &[])
-            });
-        match attempt {
-            Ok(reply) => break reply,
-            Err(e) if Instant::now() < verify_deadline => {
-                eprintln!("ftd-chaos-soak: verify retry ({e})");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            Err(e) => die(&format!("verify get: {e}")),
-        }
-    };
-    let final_value = u64::from_be_bytes(
-        reply
-            .body
-            .as_slice()
-            .try_into()
-            .unwrap_or_else(|_| die("verify get: non-u64 reply")),
-    );
+    // The verdict read: a clean direct connection (no proxy). The
+    // gateway may still be degraded (sheds the connection) right after a
+    // `--crash` recovery; the read retries until the ring has healed.
+    let final_value = soak::read_final(&Target::Ior(ior), VERIFIER).unwrap_or_else(|e| die(&e));
 
     let report = proxy.shutdown();
     let snapshot = server.snapshot();
@@ -759,28 +408,15 @@ fn main() {
         snapshot.duplicates_suppressed, snapshot.cached_responses
     );
     eprintln!(
-        "ftd-chaos-soak: clients: acked_sum={acked_sum} reconnects={reconnects} \
-         reissues={reissues}"
+        "ftd-chaos-soak: clients: acked_sum={} reconnects={} reissues={}",
+        load.acked_sum, load.reconnects, load.reissues
     );
 
     // The acceptance assertions.
-    let mut failures = Vec::new();
-    if acked_sum != expected_sum {
-        failures.push(format!(
-            "lost acknowledged adds: acked {acked_sum} != attempted {expected_sum}"
-        ));
-    }
-    if final_value != expected_sum {
-        failures.push(format!(
-            "exactly-once violated: final counter {final_value} != acked sum {expected_sum} \
-             ({} it)",
-            if final_value > expected_sum {
-                "duplicate executions inflated"
-            } else {
-                "lost acknowledged replies deflated"
-            }
-        ));
-    }
+    let mut failures: Vec<String> = soak::check_acked(load.acked_sum, expected_sum)
+        .into_iter()
+        .collect();
+    failures.extend(soak::check_final("", final_value, expected_sum));
     if forwarded < total_requests {
         failures.push(format!(
             "metrics inconsistent: {forwarded} forwarded < {total_requests} unique requests"
@@ -790,54 +426,55 @@ fn main() {
         failures.push("the proxy injected no faults — the soak proved nothing".to_owned());
     }
 
-    let passed = failures.is_empty();
     if let Some(path) = &opts.json {
-        let json = format!(
-            "{{\n  \"seed\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \
-             \"fault_probability\": {},\n  \"blackout\": {},\n  \"crash\": {},\n  \
-             \"expected_sum\": {expected_sum},\n  \"acked_sum\": {acked_sum},\n  \
-             \"final_value\": {final_value},\n  \"client_reconnects\": {reconnects},\n  \
-             \"client_reissues\": {reissues},\n  \"proxy\": {{\n    \"connections\": {},\n    \
-             \"refused_blackout\": {},\n    \"delays\": {},\n    \"drops\": {},\n    \
-             \"truncations\": {},\n    \"resets\": {},\n    \"duplicates\": {}\n  }},\n  \
-             \"engine\": {{\n    \"requests_forwarded\": {forwarded},\n    \
-             \"reissues_served_from_cache\": {cache_hits},\n    \
-             \"duplicates_suppressed\": {},\n    \"responses_evicted\": {evictions}\n  }},\n  \
-             \"elapsed_ms\": {},\n  \"passed\": {passed}\n}}\n",
-            opts.seed,
-            opts.clients,
-            opts.requests,
-            opts.fault_probability,
-            opts.blackout,
-            opts.crash,
-            report.connections,
-            report.refused_blackout,
-            report.delays,
-            report.drops,
-            report.truncations,
-            report.resets,
-            report.duplicates,
-            snapshot.duplicates_suppressed,
-            elapsed.as_millis(),
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        Json::new()
+            .raw("seed", opts.seed)
+            .raw("clients", opts.clients)
+            .raw("requests_per_client", opts.requests)
+            .raw("fault_probability", opts.fault_probability)
+            .raw("blackout", opts.blackout)
+            .raw("crash", opts.crash)
+            .raw("expected_sum", expected_sum)
+            .raw("acked_sum", load.acked_sum)
+            .raw("final_value", final_value)
+            .raw("client_reconnects", load.reconnects)
+            .raw("client_reissues", load.reissues)
+            .object(
+                "proxy",
+                Json::new()
+                    .raw("connections", report.connections)
+                    .raw("refused_blackout", report.refused_blackout)
+                    .raw("delays", report.delays)
+                    .raw("drops", report.drops)
+                    .raw("truncations", report.truncations)
+                    .raw("resets", report.resets)
+                    .raw("duplicates", report.duplicates),
+            )
+            .object(
+                "engine",
+                Json::new()
+                    .raw("requests_forwarded", forwarded)
+                    .raw("reissues_served_from_cache", cache_hits)
+                    .raw("duplicates_suppressed", snapshot.duplicates_suppressed)
+                    .raw("responses_evicted", evictions),
+            )
+            .raw("elapsed_ms", elapsed.as_millis())
+            .raw("passed", failures.is_empty())
+            .write(path);
     }
 
-    if passed {
-        println!(
-            "PASS seed={} clients={} requests={} final={final_value} faults={} \
-             reconnects={reconnects} reissues={reissues} elapsed={:.1}s",
-            opts.seed,
+    soak::verdict(
+        &failures,
+        &format!("seed={}", opts.seed),
+        &format!(
+            "clients={} requests={} final={final_value} faults={} reconnects={} reissues={} \
+             elapsed={:.1}s",
             opts.clients,
             opts.requests,
             report.faults_injected(),
+            load.reconnects,
+            load.reissues,
             elapsed.as_secs_f64()
-        );
-    } else {
-        for f in &failures {
-            eprintln!("ftd-chaos-soak: FAIL: {f}");
-        }
-        println!("FAIL seed={} ({} violations)", opts.seed, failures.len());
-        std::process::exit(1);
-    }
+        ),
+    );
 }

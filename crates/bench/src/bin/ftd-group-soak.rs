@@ -28,30 +28,44 @@
 //!
 //! ```text
 //! ftd-group-soak [--rejoin | --partition] [--seed N] [--clients N]
-//!                [--requests N] [--kill-after-ms N] [--blackout-ms N]
-//!                [--gatewayd PATH] [--record DIR] [--json PATH]
-//!                [--digests DIR]
+//!                [--requests N] [--gatewayd PATH] [--record DIR]
+//!                [--json PATH] [--digests DIR]
 //! ```
 //!
 //! The kill/rejoin victim is derived from the seed (`seed % 3`), so
 //! different CI seeds kill different members; the partition target is
-//! always gw-2 (node id 3). `--gatewayd` overrides where the daemon
-//! binary lives (default: next to this binary); a missing or stale
-//! daemon fails the preflight immediately instead of hanging the run.
-//! `--record DIR` passes `--record-dir DIR/gw-<n>` to every member;
-//! replay the whole group offline with `ftd-replay replay DIR`.
-//! `--digests DIR` writes each member's final `/digest` report — the
-//! artifact CI uploads. Exit code 0 iff every assertion held; `--json`
-//! writes the machine-readable report.
+//! always gw-2 (node id 3). The fault lands 600 ms into the load, and
+//! a partition lasts 4 s. `--gatewayd` overrides
+//! where the daemon binary lives (default: next to this binary); a
+//! missing or stale daemon fails the preflight immediately instead of
+//! hanging the run. `--record DIR` passes `--record-dir DIR/gw-<n>` to
+//! every member; replay the whole group offline with `ftd-replay
+//! replay DIR`. `--digests DIR` writes each member's final `/digest`
+//! report — the artifact CI uploads. Exit code 0 iff every assertion
+//! held; `--json` writes the machine-readable report.
 
-use ftd_giop::{Ior, ReplyStatus};
-use ftd_net::{NetClient, RetryPolicy};
+use ftd_bench::cli::{self, die, Args, CliError, Json};
+use ftd_bench::soak::{self, Load, Probe, Target};
+use ftd_giop::Ior;
+use ftd_net::NetClient;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How far into the load the member is killed or partitioned.
+const FAULT_AFTER: Duration = Duration::from_millis(600);
+/// How long a partitioned member's membership UDP stays dark: long
+/// enough for suspicion to fire on both sides and for the pinned probe.
+const BLACKOUT: Duration = Duration::from_millis(4000);
+/// The pause between a load client's requests, so the load straddles
+/// the fault and the view change.
+const PACING: Duration = Duration::from_millis(10);
+
+const USAGE: &str = "ftd-group-soak [--rejoin | --partition] [--seed N] [--clients N] \
+                     [--requests N] [--gatewayd PATH] [--record DIR] [--json PATH] \
+                     [--digests DIR]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -75,86 +89,43 @@ struct Opts {
     seed: u64,
     clients: u32,
     requests: u32,
-    kill_after_ms: u64,
-    blackout_ms: u64,
     gatewayd: Option<PathBuf>,
     record: Option<PathBuf>,
     json: Option<String>,
     digests: Option<PathBuf>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("ftd-group-soak: {msg}");
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| die(&format!("bad numeric value: {s}")))
-}
-
-fn parse_opts() -> Opts {
+fn parse_opts(args: &mut Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         mode: Mode::Kill,
         seed: 42,
         clients: 4,
         requests: 40,
-        kill_after_ms: 600,
-        blackout_ms: 4000,
         gatewayd: None,
         record: None,
         json: None,
         digests: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
             "--rejoin" => opts.mode = Mode::Rejoin,
             "--partition" => opts.mode = Mode::Partition,
-            "--seed" => opts.seed = parse(&value("--seed")),
-            "--clients" => opts.clients = parse(&value("--clients")),
-            "--requests" => opts.requests = parse(&value("--requests")),
-            "--kill-after-ms" => opts.kill_after_ms = parse(&value("--kill-after-ms")),
-            "--blackout-ms" => opts.blackout_ms = parse(&value("--blackout-ms")),
-            "--gatewayd" => opts.gatewayd = Some(PathBuf::from(value("--gatewayd"))),
-            "--record" => opts.record = Some(PathBuf::from(value("--record"))),
-            "--json" => opts.json = Some(value("--json")),
-            "--digests" => opts.digests = Some(PathBuf::from(value("--digests"))),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ftd-group-soak [--rejoin | --partition] [--seed N] [--clients N] \
-                     [--requests N] [--kill-after-ms N] [--blackout-ms N] [--gatewayd PATH] \
-                     [--record DIR] [--json PATH] [--digests DIR]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
+            "--seed" => opts.seed = args.number()?,
+            "--clients" => opts.clients = args.number()?,
+            "--requests" => opts.requests = args.number()?,
+            "--gatewayd" => opts.gatewayd = Some(args.value()?.into()),
+            "--record" => opts.record = Some(args.value()?.into()),
+            "--json" => opts.json = Some(args.value()?),
+            "--digests" => opts.digests = Some(args.value()?.into()),
+            _ => return Err(args.unknown()),
         }
     }
     if opts.clients == 0 || opts.requests == 0 {
-        die("--clients and --requests must be >= 1");
+        return Err(CliError::Bad(
+            "--clients and --requests must be >= 1".to_owned(),
+        ));
     }
-    if opts.blackout_ms < 1000 {
-        die("--blackout-ms must be >= 1000 (suspicion needs time to fire)");
-    }
-    opts
-}
-
-/// The deterministic amount client `i` adds on its `k`-th request —
-/// the same schedule as `ftd-chaos-soak`, so reports are comparable.
-fn amount(i: u32, k: u32) -> u64 {
-    (i as u64 * 37 + k as u64 * 11) % 9 + 1
-}
-
-/// The sum of the whole schedule for clients `base..base + clients`.
-fn schedule_sum(base: u32, clients: u32, requests: u32) -> u64 {
-    (base..base + clients)
-        .flat_map(|i| (0..requests).map(move |k| amount(i, k)))
-        .sum()
+    Ok(opts)
 }
 
 /// Where the `ftd-gatewayd` binary lives: `--gatewayd`, or next to us.
@@ -453,196 +424,80 @@ fn write_digest_reports(dir: &Path, seed: u64, mode: &str, reports: &[(usize, St
     }
 }
 
-struct ClientOutcome {
-    acked_sum: u64,
-    reconnects: u64,
-    reissues: u64,
-    profile_switches: u64,
+/// Starts a load phase: `opts.clients` clients with schedule indices
+/// from `base`, client `n` of the phase entering the group through
+/// member `entries[n % entries.len()]`'s IOR (that member's own profile
+/// is first).
+fn spawn_load(opts: &Opts, iors: &[Ior], entries: &[usize], base: u32) -> Load {
+    soak::spawn_load(opts.clients, opts.requests, base, PACING, |i| {
+        Target::Ior(iors[entries[(i - base) as usize % entries.len()]].clone())
+    })
 }
 
-/// Drives one load client against the group via a multi-profile IOR.
-/// Same §3.5 discipline as the chaos soak: once a request id is on the
-/// wire it is only ever reissued verbatim, so the group's relayed
-/// Records/replies (or a survivor's replica) keep the add exactly-once
-/// no matter which member dies. A graceful `close` at the end makes the
-/// member announce `ClientGone` to its peers — the GC-after-linger
-/// path.
-fn run_client(ior: Ior, client_index: u32, requests: u32) -> ClientOutcome {
-    let policy = RetryPolicy {
-        retries: 6,
-        backoff: Duration::from_millis(20),
-        max_backoff: Duration::from_millis(200),
-        timeout: Duration::from_secs(2),
-    };
-    let id = 0x5001 + client_index;
-    let start_deadline = Instant::now() + Duration::from_secs(30);
-    let mut client = loop {
-        match NetClient::builder().ior(&ior).client_id(id).connect() {
-            Ok(c) => break c,
-            Err(e) if Instant::now() < start_deadline => {
-                eprintln!("ftd-group-soak: client {client_index} connect retry ({e})");
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => die(&format!("client {client_index} never connected: {e}")),
-        }
-    };
-    client
-        .set_read_timeout(Duration::from_secs(2))
-        .expect("read timeout");
-
-    let mut acked_sum = 0u64;
-    for k in 0..requests {
-        let add = amount(client_index, k);
-        let bytes = add.to_be_bytes();
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let mut issued = false;
-        loop {
-            let result = if !issued {
-                client.invoke_retrying("add", &bytes, &policy)
-            } else {
-                match client.is_connected() {
-                    true => client.resend(client.last_request_id(), "add", &bytes),
-                    false => client
-                        .reconnect()
-                        .and_then(|()| client.resend(client.last_request_id(), "add", &bytes)),
-                }
-            };
-            issued = true;
-            match result {
-                Ok(reply) if reply.reply_status == ReplyStatus::NoException => {
-                    acked_sum += add;
-                    break;
-                }
-                Ok(reply) => die(&format!(
-                    "client {client_index} request {k}: unexpected reply status {:?}",
-                    reply.reply_status
-                )),
-                Err(_) if Instant::now() < deadline => {
-                    client.disconnect();
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => die(&format!(
-                    "client {client_index} request {k}: never acknowledged: {e}"
-                )),
-            }
-        }
-        // Pace the load so it straddles the fault and the view change.
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let outcome = ClientOutcome {
-        acked_sum,
-        reconnects: client.reconnects(),
-        reissues: client.reissues(),
-        profile_switches: client.profile_switches(),
-    };
-    let _ = client.close();
-    outcome
+/// Waits for a load phase, dying if a client could not finish.
+fn join_load(load: Load) -> soak::Outcome {
+    soak::join_load(load).unwrap_or_else(|e| die(&e))
 }
 
-/// Spawns one load phase: `clients` workers with schedule indices
-/// `base..base + clients`, each entering the group through one of the
-/// `entries` members' IORs (round-robin).
-fn spawn_load(
-    iors: &[Ior],
-    entries: &[usize],
-    clients: u32,
-    requests: u32,
-    base: u32,
-) -> Vec<JoinHandle<ClientOutcome>> {
-    (0..clients)
-        .map(|i| {
-            let ior = iors[entries[i as usize % entries.len()]].clone();
-            std::thread::Builder::new()
-                .name(format!("group-client-{}", base + i))
-                .spawn(move || run_client(ior, base + i, requests))
-                .expect("spawn client")
-        })
-        .collect()
-}
-
-fn join_load(workers: Vec<JoinHandle<ClientOutcome>>) -> Vec<ClientOutcome> {
-    workers
-        .into_iter()
-        .map(|w| match w.join() {
-            Ok(outcome) => outcome,
-            Err(_) => die("a client thread panicked"),
-        })
-        .collect()
-}
-
-/// The verdict read at one member: connect through its IOR and poll
-/// `get` until the counter reaches `expected` (or the deadline). More
-/// than `expected` means duplicate executions; less means lost
-/// acknowledged replies — both fail the run.
-fn read_final(ior: &Ior, member: usize, expected: u64) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let attempt = NetClient::builder()
-            .ior(ior)
-            .client_id(0xFFF0 + member as u32)
-            .connect()
-            .and_then(|mut verifier| {
-                verifier.set_read_timeout(Duration::from_secs(5))?;
-                verifier.invoke("get", &[])
-            });
-        match attempt {
-            Ok(reply) if reply.body.len() == 8 => {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(&reply.body);
-                let value = u64::from_be_bytes(buf);
+/// The verdict read at every listed member, through its own IOR: each
+/// replica must converge on exactly `expected`. Members converge at
+/// different times, so each is re-read until it equals `expected` or the
+/// deadline passes, and the last value read is its verdict.
+fn read_finals(iors: &[Ior], members: &[usize], expected: u64) -> Vec<(usize, u64)> {
+    members
+        .iter()
+        .map(|&n| {
+            let target = Target::Ior(iors[n].clone());
+            let deadline = Instant::now() + soak::VERIFY_DEADLINE;
+            loop {
+                let value = soak::read_final(&target, 0xFFF0 + n as u32)
+                    .unwrap_or_else(|e| die(&format!("gw-{n} {e}")));
                 if value == expected || Instant::now() > deadline {
-                    return value;
+                    break (n, value);
                 }
                 std::thread::sleep(Duration::from_millis(100));
             }
-            Ok(_) => die(&format!("gw-{member} verify get: non-u64 reply")),
-            Err(e) if Instant::now() < deadline => {
-                eprintln!("ftd-group-soak: gw-{member} verify retry ({e})");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            Err(e) => die(&format!("gw-{member} verify get: {e}")),
-        }
+        })
+        .collect()
+}
+
+/// The exactly-once check at each member.
+fn check_finals(finals: &[(usize, u64)], expected: u64, failures: &mut Vec<String>) {
+    for &(n, value) in finals {
+        failures.extend(soak::check_final(&format!(" at gw-{n}"), value, expected));
     }
 }
 
-fn write_json(path: &str, body: String) {
-    std::fs::write(path, body).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-}
-
-fn finals_json(finals: &[(usize, u64)]) -> String {
+fn finals_json(finals: &[(usize, u64)]) -> Json {
     finals
         .iter()
-        .map(|&(n, v)| format!("\"gw-{n}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+        .fold(Json::new(), |json, &(n, v)| json.raw(&format!("gw-{n}"), v))
 }
 
-fn verdict(mode: Mode, opts: &Opts, failures: &[String], detail: String, elapsed: Duration) -> ! {
-    if failures.is_empty() {
-        println!(
-            "PASS group mode={} seed={} clients={} requests={} {detail} elapsed={:.1}s",
-            mode.name(),
-            opts.seed,
+/// The report fields every mode starts with.
+fn report_head(opts: &Opts) -> Json {
+    Json::new()
+        .str("mode", opts.mode.name())
+        .raw("seed", opts.seed)
+        .raw("clients", opts.clients)
+        .raw("requests_per_client", opts.requests)
+}
+
+fn verdict(opts: &Opts, failures: &[String], detail: String, elapsed: Duration) {
+    soak::verdict(
+        failures,
+        &format!("group mode={} seed={}", opts.mode.name(), opts.seed),
+        &format!(
+            "clients={} requests={} {detail} elapsed={:.1}s",
             opts.clients,
             opts.requests,
             elapsed.as_secs_f64()
-        );
-        std::process::exit(0);
-    }
-    for f in failures {
-        eprintln!("ftd-group-soak: FAIL: {f}");
-    }
-    println!(
-        "FAIL group mode={} seed={} ({} violations)",
-        mode.name(),
-        opts.seed,
-        failures.len()
+        ),
     );
-    std::process::exit(1);
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = cli::parse(USAGE, parse_opts);
     let gatewayd = gatewayd_path(&opts.gatewayd);
     preflight(&gatewayd);
     match opts.mode {
@@ -654,14 +509,17 @@ fn main() {
 
 /// The original soak: SIGKILL one member mid-load, assert the §3.5
 /// failover story from the survivors.
-fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
+fn run_kill(opts: &Opts, gatewayd: PathBuf) {
     let started = Instant::now();
     let victim = (opts.seed % 3) as usize; // 0-based member index
     let mut cluster = Cluster::start(opts, gatewayd);
     eprintln!(
         "ftd-group-soak: mode=kill seed={} clients={} requests={} victim=gw-{victim} \
          (kill -9 after {}ms)",
-        opts.seed, opts.clients, opts.requests, opts.kill_after_ms
+        opts.seed,
+        opts.clients,
+        opts.requests,
+        FAULT_AFTER.as_millis()
     );
 
     let iors = cluster.wait_iors();
@@ -669,22 +527,10 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
     let survivors: Vec<usize> = (0..3).filter(|&n| n != victim).collect();
     eprintln!("ftd-group-soak: group formed");
 
-    // The probe: one add acknowledged BY THE VICTIM, before any load.
-    // Its reply bytes must come back identically from a survivor's
-    // relayed-response cache after the kill. The probe never says
-    // goodbye, so no ClientGone can GC its state early.
-    let mut probe = NetClient::builder()
-        .ior(&iors[victim])
-        .client_id(0xA001)
-        .connect()
-        .unwrap_or_else(|e| die(&format!("probe connect: {e}")));
-    probe
-        .set_read_timeout(Duration::from_secs(5))
-        .expect("probe timeout");
-    let probe_reply = probe
-        .invoke("add", &5u64.to_be_bytes())
-        .unwrap_or_else(|e| die(&format!("probe add: {e}")));
-    let probe_id = probe.last_request_id();
+    // The probe: acknowledged BY THE VICTIM, before any load. Its reply
+    // bytes must come back identically from a survivor's
+    // relayed-response cache after the kill.
+    let probe = Probe::ack(Target::Ior(iors[victim].clone())).unwrap_or_else(|e| die(&e));
 
     // Don't pull the trigger until the relay demonstrably primed both
     // survivors' caches with the victim's reply.
@@ -702,16 +548,15 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
     }
     eprintln!("ftd-group-soak: probe acked by gw-{victim} and relayed to both survivors");
 
-    // Load: each client enters through a different member's IOR (that
-    // member's own profile is first), so the victim owns a share of the
-    // connections when it dies.
-    let workers = spawn_load(&iors, &[0, 1, 2], opts.clients, opts.requests, 0);
+    // Load: each client enters through a different member's IOR, so the
+    // victim owns a share of the connections when it dies.
+    let load = spawn_load(opts, &iors, &[0, 1, 2], 0);
 
-    std::thread::sleep(Duration::from_millis(opts.kill_after_ms));
+    std::thread::sleep(FAULT_AFTER);
     cluster.members.kill(victim);
     eprintln!("ftd-group-soak: killed gw-{victim} (SIGKILL, mid-load)");
 
-    let outcomes = join_load(workers);
+    let load = join_load(load);
 
     // Survivors drop the victim on missed heartbeats: group.members
     // settles at 2 on every survivor.
@@ -723,40 +568,14 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
     // The §3.5 probe reissue: the victim is gone, so the reconnect walks
     // the multi-profile IOR to a survivor; the resend carries the
     // ORIGINAL request id and must be answered from the relayed cache.
-    let reissue_deadline = Instant::now() + Duration::from_secs(30);
-    let replayed = loop {
-        let attempt = if probe.is_connected() {
-            probe.resend(probe_id, "add", &5u64.to_be_bytes())
-        } else {
-            probe
-                .reconnect()
-                .and_then(|()| probe.resend(probe_id, "add", &5u64.to_be_bytes()))
-        };
-        match attempt {
-            Ok(reply) => break reply,
-            Err(e) if Instant::now() < reissue_deadline => {
-                eprintln!("ftd-group-soak: probe reissue retry ({e})");
-                probe.disconnect();
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => die(&format!("probe reissue: {e}")),
-        }
-    };
+    let probe_failure = probe.reissue("the victim").unwrap_or_else(|e| die(&e));
+    let probe_identical = probe_failure.is_none();
 
-    let expected_load = schedule_sum(0, opts.clients, opts.requests);
-    let expected_sum = expected_load + 5; // load + probe
-    let acked_sum: u64 = outcomes.iter().map(|o| o.acked_sum).sum();
-    let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();
-    let reissues: u64 = outcomes.iter().map(|o| o.reissues).sum();
-    let switches: u64 = outcomes.iter().map(|o| o.profile_switches).sum();
+    let expected_load = soak::schedule_sum(opts.clients, opts.requests);
+    let expected_sum = expected_load + soak::PROBE_ADD;
 
-    // The verdict read, per survivor: each replica must converge on
-    // exactly the acknowledged sum — more means duplicate executions,
-    // less means lost acknowledged replies.
-    let finals: Vec<(usize, u64)> = survivors
-        .iter()
-        .map(|&s| (s, read_final(&iors[s], s, expected_sum)))
-        .collect();
+    // The verdict read, per survivor.
+    let finals = read_finals(&iors, &survivors, expected_sum);
 
     // Post-run counters from the survivors' admin endpoints.
     let cache_hits: u64 = survivors
@@ -785,36 +604,15 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
     let elapsed = started.elapsed();
 
     eprintln!(
-        "ftd-group-soak: acked_sum={acked_sum} finals={finals:?} cache_hits={cache_hits} \
-         clients_gced={clients_gced} reconnects={reconnects} reissues={reissues} \
-         profile_switches={switches} digest_equal={digest_equal}"
+        "ftd-group-soak: acked_sum={} finals={finals:?} cache_hits={cache_hits} \
+         clients_gced={clients_gced} reconnects={} reissues={} \
+         profile_switches={} digest_equal={digest_equal}",
+        load.acked_sum, load.reconnects, load.reissues, load.profile_switches
     );
 
-    let mut failures = Vec::new();
-    if replayed.body != probe_reply.body {
-        failures.push(format!(
-            "lost acked reply: probe reissue answered {:?}, the victim acked {:?}",
-            replayed.body, probe_reply.body
-        ));
-    }
-    if acked_sum != expected_load {
-        failures.push(format!(
-            "lost acknowledged adds: acked {acked_sum} != attempted {expected_load}"
-        ));
-    }
-    for &(s, value) in &finals {
-        if value != expected_sum {
-            failures.push(format!(
-                "exactly-once violated at gw-{s}: final counter {value} != acked sum \
-                 {expected_sum} ({} it)",
-                if value > expected_sum {
-                    "duplicate executions inflated"
-                } else {
-                    "lost acknowledged replies deflated"
-                }
-            ));
-        }
-    }
+    let mut failures: Vec<String> = probe_failure.into_iter().collect();
+    failures.extend(soak::check_acked(load.acked_sum, expected_load));
+    check_finals(&finals, expected_sum, &mut failures);
     for (&s, &view) in survivors.iter().zip(&view_members) {
         if view != 2 {
             failures.push(format!(
@@ -835,49 +633,52 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) -> ! {
         failures.push("the survivors' digest reports never converged byte-identically".to_owned());
     }
 
-    let passed = failures.is_empty();
     if let Some(path) = &opts.json {
-        write_json(
-            path,
-            format!(
-                "{{\n  \"mode\": \"kill\",\n  \"seed\": {},\n  \"clients\": {},\n  \
-                 \"requests_per_client\": {},\n  \"victim\": \"gw-{victim}\",\n  \
-                 \"expected_sum\": {expected_sum},\n  \"acked_sum\": {acked_sum},\n  \
-                 \"final_values\": {{ {} }},\n  \"probe_byte_identical\": {},\n  \
-                 \"client_reconnects\": {reconnects},\n  \"client_reissues\": {reissues},\n  \
-                 \"client_profile_switches\": {switches},\n  \"survivors\": {{\n    \
-                 \"reissues_served_from_cache\": {cache_hits},\n    \
-                 \"clients_gced\": {clients_gced}\n  }},\n  \"digest_equal\": {digest_equal},\n  \
-                 \"elapsed_ms\": {},\n  \"passed\": {passed}\n}}\n",
-                opts.seed,
-                opts.clients,
-                opts.requests,
-                finals_json(&finals),
-                replayed.body == probe_reply.body,
-                elapsed.as_millis(),
-            ),
-        );
+        report_head(opts)
+            .str("victim", &format!("gw-{victim}"))
+            .raw("expected_sum", expected_sum)
+            .raw("acked_sum", load.acked_sum)
+            .object("final_values", finals_json(&finals))
+            .raw("probe_byte_identical", probe_identical)
+            .raw("client_reconnects", load.reconnects)
+            .raw("client_reissues", load.reissues)
+            .raw("client_profile_switches", load.profile_switches)
+            .object(
+                "survivors",
+                Json::new()
+                    .raw("reissues_served_from_cache", cache_hits)
+                    .raw("clients_gced", clients_gced),
+            )
+            .raw("digest_equal", digest_equal)
+            .raw("elapsed_ms", elapsed.as_millis())
+            .raw("passed", failures.is_empty())
+            .write(path);
     }
 
     drop(cluster.members); // SIGKILL + reap the survivors before the verdict
     let _ = std::fs::remove_dir_all(&cluster.work_dir);
-    let detail =
-        format!("victim=gw-{victim} finals={finals:?} cache_hits={cache_hits} switches={switches}");
-    verdict(Mode::Kill, opts, &failures, detail, elapsed);
+    let detail = format!(
+        "victim=gw-{victim} finals={finals:?} cache_hits={cache_hits} switches={}",
+        load.profile_switches
+    );
+    verdict(opts, &failures, detail, elapsed);
 }
 
 /// Kill → restart → rejoin-by-state-transfer: the victim comes back
 /// under its original node id, pulls a checkpoint plus post-checkpoint
 /// sequenced ops from a peer, and must serve the second load phase and
 /// converge byte-identically with the members that never died.
-fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
+fn run_rejoin(opts: &Opts, gatewayd: PathBuf) {
     let started = Instant::now();
     let victim = (opts.seed % 3) as usize;
     let mut cluster = Cluster::start(opts, gatewayd);
     eprintln!(
         "ftd-group-soak: mode=rejoin seed={} clients={} requests={} victim=gw-{victim} \
          (kill -9 after {}ms, then restart with --sync-state)",
-        opts.seed, opts.clients, opts.requests, opts.kill_after_ms
+        opts.seed,
+        opts.clients,
+        opts.requests,
+        FAULT_AFTER.as_millis()
     );
 
     let mut iors = cluster.wait_iors();
@@ -888,11 +689,11 @@ fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
     let mut failures = Vec::new();
 
     // Phase 1: load through every member, SIGKILL the victim mid-load.
-    let workers = spawn_load(&iors, &[0, 1, 2], opts.clients, opts.requests, 0);
-    std::thread::sleep(Duration::from_millis(opts.kill_after_ms));
+    let load = spawn_load(opts, &iors, &[0, 1, 2], 0);
+    std::thread::sleep(FAULT_AFTER);
     cluster.members.kill(victim);
     eprintln!("ftd-group-soak: killed gw-{victim} (SIGKILL, mid-load)");
-    let acked_1: u64 = join_load(workers).iter().map(|o| o.acked_sum).sum();
+    let acked_1 = join_load(load).acked_sum;
 
     for &s in &survivors {
         let view = scrape_until(metrics_addrs[s], "group.members", |v| v == 2);
@@ -924,36 +725,16 @@ fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
     eprintln!("ftd-group-soak: gw-{victim} rejoined (state transfers: {transfers})");
 
     // Phase 2: more load, now entering through the rejoiner too.
-    let workers = spawn_load(&iors, &[0, 1, 2], opts.clients, opts.requests, opts.clients);
-    let acked_2: u64 = join_load(workers).iter().map(|o| o.acked_sum).sum();
+    let acked_2 = join_load(spawn_load(opts, &iors, &[0, 1, 2], opts.clients)).acked_sum;
 
-    let expected_sum = schedule_sum(0, opts.clients, opts.requests)
-        + schedule_sum(opts.clients, opts.clients, opts.requests);
+    let expected_sum = soak::schedule_sum(2 * opts.clients, opts.requests);
     let acked_sum = acked_1 + acked_2;
-    if acked_sum != expected_sum {
-        failures.push(format!(
-            "lost acknowledged adds: acked {acked_sum} != attempted {expected_sum}"
-        ));
-    }
+    failures.extend(soak::check_acked(acked_sum, expected_sum));
 
     // Exactly-once at ALL THREE members — the rejoiner's counter comes
     // from the transferred checkpoint plus replayed sequenced ops.
-    let finals: Vec<(usize, u64)> = (0..3)
-        .map(|n| (n, read_final(&iors[n], n, expected_sum)))
-        .collect();
-    for &(n, value) in &finals {
-        if value != expected_sum {
-            failures.push(format!(
-                "exactly-once violated at gw-{n}: final counter {value} != acked sum \
-                 {expected_sum} ({} it)",
-                if value > expected_sum {
-                    "duplicate executions inflated"
-                } else {
-                    "lost acknowledged replies deflated"
-                }
-            ));
-        }
-    }
+    let finals = read_finals(&iors, &[0, 1, 2], expected_sum);
+    check_finals(&finals, expected_sum, &mut failures);
 
     // The rejoin acceptance bar: byte-identical digest reports across
     // all three members, including the one that died and came back.
@@ -972,24 +753,17 @@ fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
          digest_equal={digest_equal}"
     );
 
-    let passed = failures.is_empty();
     if let Some(path) = &opts.json {
-        write_json(
-            path,
-            format!(
-                "{{\n  \"mode\": \"rejoin\",\n  \"seed\": {},\n  \"clients\": {},\n  \
-                 \"requests_per_client\": {},\n  \"victim\": \"gw-{victim}\",\n  \
-                 \"expected_sum\": {expected_sum},\n  \"acked_sum\": {acked_sum},\n  \
-                 \"final_values\": {{ {} }},\n  \"state_transfers\": {transfers},\n  \
-                 \"digest_equal\": {digest_equal},\n  \"elapsed_ms\": {},\n  \
-                 \"passed\": {passed}\n}}\n",
-                opts.seed,
-                opts.clients,
-                opts.requests,
-                finals_json(&finals),
-                elapsed.as_millis(),
-            ),
-        );
+        report_head(opts)
+            .str("victim", &format!("gw-{victim}"))
+            .raw("expected_sum", expected_sum)
+            .raw("acked_sum", acked_sum)
+            .object("final_values", finals_json(&finals))
+            .raw("state_transfers", transfers)
+            .raw("digest_equal", digest_equal)
+            .raw("elapsed_ms", elapsed.as_millis())
+            .raw("passed", failures.is_empty())
+            .write(path);
     }
 
     drop(cluster.members);
@@ -998,7 +772,7 @@ fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
         "victim=gw-{victim} finals={finals:?} state_transfers={transfers} \
          digest_equal={digest_equal}"
     );
-    verdict(Mode::Rejoin, opts, &failures, detail, elapsed);
+    verdict(opts, &failures, detail, elapsed);
 }
 
 /// UDP partition: black out gw-2's membership socket. The majority
@@ -1006,14 +780,18 @@ fn run_rejoin(opts: &Opts, gatewayd: PathBuf) -> ! {
 /// quorum) instead of diverging, while still *following* the sequenced
 /// stream over the TCP mesh. After the window the views heal and all
 /// three members converge byte-identically.
-fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
+fn run_partition(opts: &Opts, gatewayd: PathBuf) {
     let started = Instant::now();
     let target = 2usize; // node id 3 — never the sequencer, by design
     let cluster = Cluster::start(opts, gatewayd);
     eprintln!(
         "ftd-group-soak: mode=partition seed={} clients={} requests={} target=gw-{target} \
          (blackout {}ms after {}ms)",
-        opts.seed, opts.clients, opts.requests, opts.blackout_ms, opts.kill_after_ms
+        opts.seed,
+        opts.clients,
+        opts.requests,
+        BLACKOUT.as_millis(),
+        FAULT_AFTER.as_millis()
     );
 
     let iors = cluster.wait_iors();
@@ -1021,18 +799,14 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
     eprintln!("ftd-group-soak: group formed");
 
     let mut failures = Vec::new();
+    let blackout = format!("/blackout?ms={}", BLACKOUT.as_millis());
 
     // Load enters only through the two majority members; the minority
     // member must not acknowledge anything while partitioned.
-    let workers = spawn_load(&iors, &[0, 1], opts.clients, opts.requests, 0);
-    std::thread::sleep(Duration::from_millis(opts.kill_after_ms));
+    let load = spawn_load(opts, &iors, &[0, 1], 0);
+    std::thread::sleep(FAULT_AFTER);
 
-    if scrape_path(
-        metrics_addrs[target],
-        &format!("/blackout?ms={}", opts.blackout_ms),
-    )
-    .is_none()
-    {
+    if scrape_path(metrics_addrs[target], &blackout).is_none() {
         die(&format!("gw-{target} blackout request failed"));
     }
     eprintln!("ftd-group-soak: blacked out gw-{target}'s membership UDP");
@@ -1059,10 +833,7 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
     // admitted add, so the client times out instead of diverging the
     // minority replica. Its amount is excluded from the expected sum —
     // if the add ever executed anywhere, the finals check catches it.
-    let _ = scrape_path(
-        metrics_addrs[target],
-        &format!("/blackout?ms={}", opts.blackout_ms),
-    );
+    let _ = scrape_path(metrics_addrs[target], &blackout);
     let mut pinned = NetClient::builder()
         .ior(&iors[target])
         .client_id(0xB001)
@@ -1089,7 +860,7 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
     pinned.disconnect();
     eprintln!("ftd-group-soak: pinned client refused at gw-{target} (drops: {drops})");
 
-    let acked_1: u64 = join_load(workers).iter().map(|o| o.acked_sum).sum();
+    let acked_1 = join_load(load).acked_sum;
 
     // The blackout expires on its own; the member re-announces to its
     // peers and every view returns to 3.
@@ -1105,37 +876,17 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
 
     // Post-heal load through every member — the healed member admits
     // work again.
-    let workers = spawn_load(&iors, &[0, 1, 2], opts.clients, opts.requests, opts.clients);
-    let acked_2: u64 = join_load(workers).iter().map(|o| o.acked_sum).sum();
+    let acked_2 = join_load(spawn_load(opts, &iors, &[0, 1, 2], opts.clients)).acked_sum;
 
-    let expected_sum = schedule_sum(0, opts.clients, opts.requests)
-        + schedule_sum(opts.clients, opts.clients, opts.requests);
+    let expected_sum = soak::schedule_sum(2 * opts.clients, opts.requests);
     let acked_sum = acked_1 + acked_2;
-    if acked_sum != expected_sum {
-        failures.push(format!(
-            "lost acknowledged adds: acked {acked_sum} != attempted {expected_sum}"
-        ));
-    }
+    failures.extend(soak::check_acked(acked_sum, expected_sum));
 
     // Exactly-once at ALL THREE members: the pinned add must appear
     // nowhere, the partitioned member must have followed the sequenced
     // stream it could not admit into.
-    let finals: Vec<(usize, u64)> = (0..3)
-        .map(|n| (n, read_final(&iors[n], n, expected_sum)))
-        .collect();
-    for &(n, value) in &finals {
-        if value != expected_sum {
-            failures.push(format!(
-                "exactly-once violated at gw-{n}: final counter {value} != acked sum \
-                 {expected_sum} ({} it)",
-                if value > expected_sum {
-                    "duplicate executions inflated"
-                } else {
-                    "lost acknowledged replies deflated"
-                }
-            ));
-        }
-    }
+    let finals = read_finals(&iors, &[0, 1, 2], expected_sum);
+    check_finals(&finals, expected_sum, &mut failures);
 
     let digest_entries: Vec<(usize, SocketAddr)> = (0..3).map(|n| (n, metrics_addrs[n])).collect();
     let (reports, digest_equal) = converged_digests(&digest_entries);
@@ -1152,24 +903,17 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
          digest_equal={digest_equal}"
     );
 
-    let passed = failures.is_empty();
     if let Some(path) = &opts.json {
-        write_json(
-            path,
-            format!(
-                "{{\n  \"mode\": \"partition\",\n  \"seed\": {},\n  \"clients\": {},\n  \
-                 \"requests_per_client\": {},\n  \"target\": \"gw-{target}\",\n  \
-                 \"expected_sum\": {expected_sum},\n  \"acked_sum\": {acked_sum},\n  \
-                 \"final_values\": {{ {} }},\n  \"no_quorum_drops\": {drops},\n  \
-                 \"digest_equal\": {digest_equal},\n  \"elapsed_ms\": {},\n  \
-                 \"passed\": {passed}\n}}\n",
-                opts.seed,
-                opts.clients,
-                opts.requests,
-                finals_json(&finals),
-                elapsed.as_millis(),
-            ),
-        );
+        report_head(opts)
+            .str("target", &format!("gw-{target}"))
+            .raw("expected_sum", expected_sum)
+            .raw("acked_sum", acked_sum)
+            .object("final_values", finals_json(&finals))
+            .raw("no_quorum_drops", drops)
+            .raw("digest_equal", digest_equal)
+            .raw("elapsed_ms", elapsed.as_millis())
+            .raw("passed", failures.is_empty())
+            .write(path);
     }
 
     drop(cluster.members);
@@ -1178,5 +922,5 @@ fn run_partition(opts: &Opts, gatewayd: PathBuf) -> ! {
         "target=gw-{target} finals={finals:?} no_quorum_drops={drops} \
          digest_equal={digest_equal}"
     );
-    verdict(Mode::Partition, opts, &failures, detail, elapsed);
+    verdict(opts, &failures, detail, elapsed);
 }

@@ -21,22 +21,12 @@
 //! Exit code 0 iff every replay matched; on divergence the report names
 //! the first diverging event's index and what differed there.
 
-use ftd_eternal::{Counter, ObjectRegistry};
+use ftd_bench::cli::{self, die, Args, CliError};
+use ftd_bench::registry;
 use ftd_replay::ReplayOutcome;
 use std::path::{Path, PathBuf};
 
-fn die(msg: &str) -> ! {
-    eprintln!("ftd-replay: {msg}");
-    std::process::exit(2);
-}
-
-/// The application types the recording binaries register. Replay needs
-/// the same factories to rebuild the recorded world.
-fn registry() -> ObjectRegistry {
-    let mut reg = ObjectRegistry::new();
-    reg.register("Counter", Box::new(|| Box::new(Counter::new())));
-    reg
-}
+const USAGE: &str = "ftd-replay replay <DIR> [<DIR>...]";
 
 /// Replays one recording directory and prints its verdict. Returns
 /// whether the replay matched the recording.
@@ -115,21 +105,24 @@ fn discover(dir: PathBuf) -> Vec<PathBuf> {
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("replay") {
-        args.remove(0);
-    }
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: ftd-replay replay <DIR> [<DIR>...]");
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
-    }
-
+/// The recordings the command line names, after an optional leading
+/// `replay`.
+fn parse_dirs(args: &mut Args) -> Result<Vec<PathBuf>, CliError> {
     let mut dirs = Vec::new();
-    for arg in &args {
-        dirs.extend(discover(PathBuf::from(arg)));
+    let mut first = true;
+    while let Some(arg) = args.next_arg()? {
+        if !(std::mem::take(&mut first) && arg == "replay") {
+            dirs.extend(discover(PathBuf::from(arg)));
+        }
     }
+    if dirs.is_empty() {
+        return Err(CliError::Bad(format!("usage: {USAGE}")));
+    }
+    Ok(dirs)
+}
 
+fn main() {
+    let dirs = cli::parse(USAGE, parse_dirs);
     let mut all_matched = true;
     for (i, dir) in dirs.iter().enumerate() {
         if i > 0 {

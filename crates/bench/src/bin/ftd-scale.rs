@@ -6,12 +6,11 @@
 //! 4-processor domain hosting G 3-replica active `Counter` groups, pins
 //! group `j` to shard `j % shards` for dense placement, and drives K
 //! closed-loop enhanced clients for a fixed wall-clock window. At
-//! `--depth 1` each client
-//! issues one `add` at a time (plain `invoke`); at higher depths each
-//! client keeps that many requests outstanding through a
-//! [`Pipeline`] session, so a single connection overlaps its
-//! round trips — the client-side lever that pairs with the server-side
-//! levers below.
+//! depth 1 each client issues one `add` at a time (plain `invoke`); at
+//! higher depths each client keeps that many requests outstanding
+//! through a [`Pipeline`](ftd_net::Pipeline) session, so a single
+//! connection overlaps its round trips — the client-side lever that
+//! pairs with the server-side levers below.
 //!
 //! Two scaling levers on a latency-bound domain:
 //!
@@ -28,12 +27,13 @@
 //!
 //! **Open-loop mode** (`--open-loop RATE`): instead of waiting for
 //! replies, clients submit on a fixed arrival schedule (RATE requests/s
-//! across all clients, evenly divided) through pipelined sessions, and
-//! every reply's latency is measured from its *scheduled* submission
-//! time — the coordinated-omission-resistant methodology: a stalled
-//! server cannot slow the arrival process down and thereby hide its own
-//! queueing delay. Reports p50/p99/p99.9 and the achieved rate;
-//! `--assert-p99 MICROS` is the CI latency regression gate.
+//! across all clients, evenly divided) through pipelined sessions at
+//! the deepest of `--depths`, and every reply's latency is measured
+//! from its *scheduled* submission time — the
+//! coordinated-omission-resistant methodology: a stalled server cannot
+//! slow the arrival process down and thereby hide its own queueing
+//! delay. Reports p50/p99/p99.9 and the achieved rate; `--assert-p99
+//! MICROS` is the CI latency regression gate.
 //!
 //! **Connection-scaling mode** (`--connections LIST`): the C50K smoke.
 //! For each N, raises `RLIMIT_NOFILE`, brings up one gateway over the
@@ -43,28 +43,28 @@
 //! `LocateRequest` on **every** connection through a client-side
 //! reactor — proving each one is accepted *and served*. The gateway's
 //! thread count is sampled from `/proc/self/status` before and after:
-//! with the event-driven connection core it must not grow with N
-//! (`--assert-max-thread-growth`, default 8).
+//! with the event-driven connection core it must not grow with N by
+//! more than 8 threads.
 //!
-//! Each point is run `--repeat` times and the best attempt kept
-//! (highest throughput / lowest p99), so one unlucky OS scheduling on a
-//! small CI box does not fail a regression gate.
+//! Each sweep and open-loop point is run 3 times and the best attempt
+//! kept (highest throughput / lowest p99), so one unlucky OS scheduling
+//! on a small CI box does not fail a regression gate.
 //!
 //! ```text
-//! ftd-scale [--clients N] [--duration-ms N] [--window N] [--repeat N]
-//!           [--shards LIST] [--depth N] [--depths LIST]
+//! ftd-scale [--clients N] [--duration-ms N] [--window N]
+//!           [--shards LIST] [--depths LIST]
 //!           [--open-loop RATE] [--connections LIST] [--json PATH]
 //!           [--assert-speedup F] [--assert-pipeline-speedup F]
 //!           [--assert-p99 MICROS] [--assert-min-rps F]
-//!           [--assert-max-thread-growth N]
 //! ```
 //!
 //! `--json` writes `BENCH_scale.json`-style (or, in open-loop mode,
 //! `BENCH_latency.json`-style; in connection mode, `BENCH_c50k.json`-
 //! style) machine-readable results.
 
+use ftd_bench::cli::{self, die, Args, CliError, Json};
+use ftd_bench::counter_host;
 use ftd_core::EngineConfig;
-use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
 use ftd_net::{AdmissionPolicy, GatewayServer, NetClient, PendingReply};
 use ftd_totem::GroupId;
 use std::collections::VecDeque;
@@ -75,12 +75,21 @@ use std::time::{Duration, Instant};
 /// Benchmark groups: one per maximum shard count, pinned round-robin.
 const GROUPS: u32 = 8;
 const BASE_GROUP: u32 = 10;
+/// Attempts per sweep or open-loop point; the best one is kept.
+const REPEAT: u64 = 3;
+/// How many threads the gateway may gain while N connections open.
+const MAX_THREAD_GROWTH: usize = 8;
+
+const USAGE: &str = "ftd-scale [--clients N] [--duration-ms N] [--window N] \
+                     [--shards LIST] [--depths LIST] [--open-loop RATE] \
+                     [--connections LIST] [--json PATH] \
+                     [--assert-speedup F] [--assert-pipeline-speedup F] \
+                     [--assert-p99 MICROS] [--assert-min-rps F]";
 
 struct Opts {
     clients: u32,
     duration_ms: u64,
     window: usize,
-    repeat: usize,
     shards: Vec<usize>,
     depths: Vec<usize>,
     open_loop: Option<f64>,
@@ -90,29 +99,13 @@ struct Opts {
     assert_pipeline_speedup: Option<f64>,
     assert_p99: Option<u64>,
     assert_min_rps: Option<f64>,
-    assert_max_thread_growth: usize,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("ftd-scale: {msg}");
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| die(&format!("bad numeric value: {s}")))
-}
-
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',').map(|part| parse(part.trim())).collect()
-}
-
-fn parse_opts() -> Opts {
+fn parse_opts(args: &mut Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         clients: 64,
         duration_ms: 1500,
         window: 4,
-        repeat: 3,
         shards: vec![1, 2, 4, 8],
         depths: vec![1],
         open_loop: None,
@@ -122,68 +115,45 @@ fn parse_opts() -> Opts {
         assert_pipeline_speedup: None,
         assert_p99: None,
         assert_min_rps: None,
-        assert_max_thread_growth: 8,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--clients" => opts.clients = parse(&value("--clients")),
-            "--duration-ms" => opts.duration_ms = parse(&value("--duration-ms")),
-            "--window" => opts.window = parse(&value("--window")),
-            "--repeat" => opts.repeat = parse(&value("--repeat")),
-            "--shards" => opts.shards = parse_list(&value("--shards")),
-            "--depth" => opts.depths = vec![parse(&value("--depth"))],
-            "--depths" => opts.depths = parse_list(&value("--depths")),
-            "--open-loop" => opts.open_loop = Some(parse(&value("--open-loop"))),
-            "--connections" => opts.connections = Some(parse_list(&value("--connections"))),
-            "--json" => opts.json = Some(value("--json")),
-            "--assert-speedup" => opts.assert_speedup = Some(parse(&value("--assert-speedup"))),
-            "--assert-pipeline-speedup" => {
-                opts.assert_pipeline_speedup = Some(parse(&value("--assert-pipeline-speedup")))
-            }
-            "--assert-p99" => opts.assert_p99 = Some(parse(&value("--assert-p99"))),
-            "--assert-min-rps" => opts.assert_min_rps = Some(parse(&value("--assert-min-rps"))),
-            "--assert-max-thread-growth" => {
-                opts.assert_max_thread_growth = parse(&value("--assert-max-thread-growth"))
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ftd-scale [--clients N] [--duration-ms N] [--window N] \
-                     [--repeat N] [--shards LIST] [--depth N] \
-                     [--depths LIST] [--open-loop RATE] [--connections LIST] [--json PATH] \
-                     [--assert-speedup F] [--assert-pipeline-speedup F] \
-                     [--assert-p99 MICROS] [--assert-min-rps F] \
-                     [--assert-max-thread-growth N]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
+            "--clients" => opts.clients = args.number()?,
+            "--duration-ms" => opts.duration_ms = args.number()?,
+            "--window" => opts.window = args.number()?,
+            "--shards" => opts.shards = args.list()?,
+            "--depths" => opts.depths = args.list()?,
+            "--open-loop" => opts.open_loop = Some(args.number()?),
+            "--connections" => opts.connections = Some(args.list()?),
+            "--json" => opts.json = Some(args.value()?),
+            "--assert-speedup" => opts.assert_speedup = Some(args.number()?),
+            "--assert-pipeline-speedup" => opts.assert_pipeline_speedup = Some(args.number()?),
+            "--assert-p99" => opts.assert_p99 = Some(args.number()?),
+            "--assert-min-rps" => opts.assert_min_rps = Some(args.number()?),
+            _ => return Err(args.unknown()),
         }
     }
-    if opts.clients == 0 || opts.duration_ms == 0 || opts.repeat == 0 || opts.shards.is_empty() {
-        die("--clients, --duration-ms, --repeat and --shards must be non-trivial");
+    let bad = |msg: &str| Err(CliError::Bad(msg.to_owned()));
+    if opts.clients == 0 || opts.duration_ms == 0 || opts.shards.is_empty() {
+        return bad("--clients, --duration-ms and --shards must be non-trivial");
     }
     if opts.shards.contains(&0) {
-        die("shard counts must be >= 1");
+        return bad("shard counts must be >= 1");
     }
     if opts.depths.is_empty() || opts.depths.contains(&0) {
-        die("pipeline depths must be >= 1");
+        return bad("pipeline depths must be >= 1");
     }
     if opts.open_loop.is_some_and(|r| r <= 0.0) {
-        die("--open-loop rate must be positive");
+        return bad("--open-loop rate must be positive");
     }
     if opts
         .connections
         .as_ref()
         .is_some_and(|c| c.is_empty() || c.contains(&0))
     {
-        die("--connections counts must be >= 1");
+        return bad("--connections counts must be >= 1");
     }
-    opts
+    Ok(opts)
 }
 
 struct RunResult {
@@ -209,17 +179,7 @@ fn build_gateway(
         .config(config)
         .shards(shards)
         .admission(admission)
-        .host(move || {
-            let mut host = start_host(seed)?;
-            for j in 0..GROUPS {
-                host.create_group(
-                    GroupId(BASE_GROUP + j),
-                    "Counter",
-                    FtProperties::new(ReplicationStyle::Active).with_initial(3),
-                );
-            }
-            Ok::<_, ftd_core::Error>(host)
-        });
+        .host(move || counter_host(3, seed, (0..GROUPS).map(|j| GroupId(BASE_GROUP + j))));
     for j in 0..GROUPS {
         builder = builder.pin_group(GroupId(BASE_GROUP + j), j as usize % shards);
     }
@@ -454,15 +414,6 @@ fn run_open_loop(opts: &Opts, shards: usize, depth: usize, rate: f64, seed: u64)
     }
 }
 
-/// The in-process domain behind every sweep point.
-fn start_host(seed: u64) -> ftd_core::Result<ftd_net::DomainHost> {
-    ftd_net::DomainHost::try_start(3, 4, seed, || {
-        let mut reg = ObjectRegistry::new();
-        reg.register("Counter", Box::new(|| Box::new(Counter::new())));
-        reg
-    })
-}
-
 /// Threads in this process, from `/proc/self/status` (0 where that file
 /// does not exist — the growth assertion is skipped there).
 fn thread_count() -> usize {
@@ -652,8 +603,7 @@ fn main_connections(opts: &Opts, counts: &[usize]) {
         let r = run_connections_point(opts, n);
         let growth = r.threads_after.saturating_sub(r.threads_before);
         // threads == 0 means /proc was unavailable; skip the assertion.
-        let ok = r.served == r.connections
-            && (r.threads_after == 0 || growth <= opts.assert_max_thread_growth);
+        let ok = r.served == r.connections && (r.threads_after == 0 || growth <= MAX_THREAD_GROWTH);
         eprintln!(
             "ftd-scale: connections={} served={} open={}ms smoke={}ms threads {} -> {} \
              (growth {growth}, max {}) {}",
@@ -663,7 +613,7 @@ fn main_connections(opts: &Opts, counts: &[usize]) {
             r.smoke_ms,
             r.threads_before,
             r.threads_after,
-            opts.assert_max_thread_growth,
+            MAX_THREAD_GROWTH,
             if ok { "ok" } else { "FAIL" }
         );
         passed &= ok;
@@ -671,22 +621,25 @@ fn main_connections(opts: &Opts, counts: &[usize]) {
     }
 
     if let Some(path) = &opts.json {
-        let mut rows = String::new();
-        for (i, r) in results.iter().enumerate() {
-            let sep = if i + 1 < results.len() { "," } else { "" };
-            rows.push_str(&format!(
-                "    {{\"connections\": {}, \"served\": {}, \"threads_before\": {}, \
-                 \"threads_after\": {}, \"open_ms\": {}, \"smoke_ms\": {}}}{sep}\n",
-                r.connections, r.served, r.threads_before, r.threads_after, r.open_ms, r.smoke_ms
-            ));
-        }
-        let json = format!(
-            "{{\n  \"mode\": \"connections\",\n  \"shards\": {},\n  \
-             \"max_thread_growth\": {},\n  \"points\": [\n{rows}  ],\n  \
-             \"passed\": {passed}\n}}\n",
-            opts.shards[0], opts.assert_max_thread_growth,
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        let points = results
+            .iter()
+            .map(|r| {
+                Json::new()
+                    .raw("connections", r.connections)
+                    .raw("served", r.served)
+                    .raw("threads_before", r.threads_before)
+                    .raw("threads_after", r.threads_after)
+                    .raw("open_ms", r.open_ms)
+                    .raw("smoke_ms", r.smoke_ms)
+            })
+            .collect();
+        Json::new()
+            .str("mode", "connections")
+            .raw("shards", opts.shards[0])
+            .raw("max_thread_growth", MAX_THREAD_GROWTH)
+            .array("points", points)
+            .raw("passed", passed)
+            .write(path);
     }
 
     if passed {
@@ -703,7 +656,7 @@ fn main_connections(opts: &Opts, counts: &[usize]) {
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = cli::parse(USAGE, parse_opts);
     if let Some(counts) = opts.connections.clone() {
         main_connections(&opts, &counts);
         return;
@@ -713,32 +666,26 @@ fn main() {
         return;
     }
     eprintln!(
-        "ftd-scale: clients={} duration={}ms window={} repeat={} shards={:?} depths={:?}",
-        opts.clients, opts.duration_ms, opts.window, opts.repeat, opts.shards, opts.depths
+        "ftd-scale: clients={} duration={}ms window={} repeat={REPEAT} shards={:?} depths={:?}",
+        opts.clients, opts.duration_ms, opts.window, opts.shards, opts.depths
     );
 
     let mut runs = Vec::new();
     for &shards in &opts.shards {
         for &depth in &opts.depths {
-            // Best of `repeat` attempts: one attempt measures one
+            // Best of REPEAT attempts: one attempt measures one
             // scheduling of 60+ threads on however few cores CI grants,
             // so a single sample is noise — the max is the point's actual
             // capability and is what the regression gate needs to be
             // stable.
-            let r = (0..opts.repeat)
-                .map(|a| run_point(&opts, shards, depth, 0x5CA1E + shards as u64 + a as u64))
+            let r = (0..REPEAT)
+                .map(|a| run_point(&opts, shards, depth, 0x5CA1E + shards as u64 + a))
                 .max_by(|x, y| x.throughput_rps.total_cmp(&y.throughput_rps))
-                .expect("repeat >= 1");
+                .expect("REPEAT >= 1");
             eprintln!(
                 "ftd-scale: shards={} depth={} -> {} requests in {}ms = {:.0} rps \
-                 (deferrals={}, best of {})",
-                r.shards,
-                r.depth,
-                r.requests,
-                r.elapsed_ms,
-                r.throughput_rps,
-                r.deferrals,
-                opts.repeat
+                 (deferrals={}, best of {REPEAT})",
+                r.shards, r.depth, r.requests, r.elapsed_ms, r.throughput_rps, r.deferrals,
             );
             runs.push(r);
         }
@@ -796,31 +743,29 @@ fn main() {
     }
 
     if let Some(path) = &opts.json {
-        let mut rows = String::new();
-        for (i, r) in runs.iter().enumerate() {
-            let sep = if i + 1 < runs.len() { "," } else { "" };
-            rows.push_str(&format!(
-                "    {{\"shards\": {}, \"depth\": {}, \"requests\": {}, \
-                 \"elapsed_ms\": {}, \"throughput_rps\": {:.1}, \"deferrals\": {}}}{sep}\n",
-                r.shards, r.depth, r.requests, r.elapsed_ms, r.throughput_rps, r.deferrals
-            ));
-        }
-        let fmt_speedup = |s: Option<f64>| {
-            s.map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "null".to_owned())
-        };
-        let json = format!(
-            "{{\n  \"clients\": {},\n  \"duration_ms\": {},\n  \"window_per_shard\": {},\n  \
-             \"runs\": [\n{rows}  ],\n  \"speedup_4x1\": {},\n  \
-             \"pipeline_speedup_8x1\": {},\n  \"peak_rps\": {peak_rps:.1},\n  \
-             \"passed\": {passed}\n}}\n",
-            opts.clients,
-            opts.duration_ms,
-            opts.window,
-            fmt_speedup(speedup_4x1),
-            fmt_speedup(pipeline_speedup_8x1),
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        let rows = runs
+            .iter()
+            .map(|r| {
+                Json::new()
+                    .raw("shards", r.shards)
+                    .raw("depth", r.depth)
+                    .raw("requests", r.requests)
+                    .raw("elapsed_ms", r.elapsed_ms)
+                    .raw("throughput_rps", format!("{:.1}", r.throughput_rps))
+                    .raw("deferrals", r.deferrals)
+            })
+            .collect();
+        let speedup = |s: Option<f64>| s.map(|s| format!("{s:.3}"));
+        Json::new()
+            .raw("clients", opts.clients)
+            .raw("duration_ms", opts.duration_ms)
+            .raw("window_per_shard", opts.window)
+            .array("runs", rows)
+            .opt("speedup_4x1", speedup(speedup_4x1))
+            .opt("pipeline_speedup_8x1", speedup(pipeline_speedup_8x1))
+            .raw("peak_rps", format!("{peak_rps:.1}"))
+            .raw("passed", passed)
+            .write(path);
     }
 
     if passed {
@@ -859,19 +804,19 @@ fn main() {
 }
 
 /// Open-loop entry: a single (shards, depth) configuration under a
-/// fixed arrival rate, best-p99 of `--repeat` attempts.
+/// fixed arrival rate, best-p99 of REPEAT attempts.
 fn main_open_loop(opts: &Opts, rate: f64) {
     let shards = opts.shards[0];
     let depth = *opts.depths.iter().max().expect("non-empty depths");
     eprintln!(
         "ftd-scale: open-loop rate={rate} rps clients={} duration={}ms window={} depth={depth} \
-         shards={shards} repeat={}",
-        opts.clients, opts.duration_ms, opts.window, opts.repeat
+         shards={shards} repeat={REPEAT}",
+        opts.clients, opts.duration_ms, opts.window
     );
 
-    let r = (0..opts.repeat)
+    let r = (0..REPEAT)
         .map(|a| {
-            let r = run_open_loop(opts, shards, depth, rate, 0x0BE1 + shards as u64 + a as u64);
+            let r = run_open_loop(opts, shards, depth, rate, 0x0BE1 + shards as u64 + a);
             eprintln!(
                 "ftd-scale: attempt {a}: sent={} completed={} in {}ms = {:.0} rps, \
                  latency p50={}us p99={}us p99.9={}us max={}us (deferrals={})",
@@ -888,7 +833,7 @@ fn main_open_loop(opts: &Opts, rate: f64) {
             r
         })
         .min_by_key(|r| r.p99_us)
-        .expect("repeat >= 1");
+        .expect("REPEAT >= 1");
 
     let passed = match opts.assert_p99 {
         Some(floor_us) => r.p99_us <= floor_us,
@@ -896,29 +841,29 @@ fn main_open_loop(opts: &Opts, rate: f64) {
     };
 
     if let Some(path) = &opts.json {
-        let json = format!(
-            "{{\n  \"mode\": \"open_loop\",\n  \"rate_rps\": {rate},\n  \"clients\": {},\n  \
-             \"duration_ms\": {},\n  \"window_per_shard\": {},\n  \"depth\": {depth},\n  \
-             \"shards\": {shards},\n  \"sent\": {},\n  \
-             \"completed\": {},\n  \"achieved_rps\": {:.1},\n  \"latency_us\": \
-             {{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}},\n  \
-             \"deferrals\": {},\n  \"p99_floor_us\": {},\n  \"passed\": {passed}\n}}\n",
-            opts.clients,
-            opts.duration_ms,
-            opts.window,
-            r.sent,
-            r.completed,
-            r.achieved_rps,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.max_us,
-            r.deferrals,
-            opts.assert_p99
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "null".to_owned()),
-        );
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        Json::new()
+            .str("mode", "open_loop")
+            .raw("rate_rps", rate)
+            .raw("clients", opts.clients)
+            .raw("duration_ms", opts.duration_ms)
+            .raw("window_per_shard", opts.window)
+            .raw("depth", depth)
+            .raw("shards", shards)
+            .raw("sent", r.sent)
+            .raw("completed", r.completed)
+            .raw("achieved_rps", format!("{:.1}", r.achieved_rps))
+            .object(
+                "latency_us",
+                Json::new()
+                    .raw("p50", r.p50_us)
+                    .raw("p99", r.p99_us)
+                    .raw("p999", r.p999_us)
+                    .raw("max", r.max_us),
+            )
+            .raw("deferrals", r.deferrals)
+            .opt("p99_floor_us", opts.assert_p99)
+            .raw("passed", passed)
+            .write(path);
     }
 
     if passed {

@@ -1,18 +1,23 @@
-//! Shared scenario builders for the micro-benchmarks and the
-//! `experiments` binary that regenerates every figure/claim of the paper
-//! (see DESIGN.md §5 for the experiment index E1–E10).
+//! Shared scenario builders for the `experiments` binary that
+//! regenerates every figure/claim of the paper (see DESIGN.md §5 for the
+//! experiment index E1–E10), the in-process `Counter` domain the live
+//! soaks and sweeps run against, and the harness modules the bench
+//! binaries share: [`soak`] (the §3.5 client and verdict) and [`cli`]
+//! (arguments and JSON reports).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod micro;
+pub mod cli;
+pub mod soak;
 
 use ftd_core::{
     build_domain, connect_domains, DomainDaemon, DomainHandle, DomainSpec, EnhancedClient,
     PlainClient, TAG_FLUSH,
 };
 use ftd_eternal::{AppObject, Counter, FtProperties, ObjectRegistry, Outcome, ReplicationStyle};
-use ftd_sim::{ProcessorId, SimDuration, SimTime, World};
+use ftd_net::DomainHost;
+use ftd_sim::{ProcessorId, SimDuration, World};
 use ftd_totem::GroupId;
 
 /// The server group used by all single-domain scenarios.
@@ -53,12 +58,31 @@ impl AppObject for Orchestrator {
     }
 }
 
-/// The registry every scenario daemon uses.
+/// The registry every scenario daemon, live domain and replay uses.
 pub fn registry() -> ObjectRegistry {
     let mut reg = ObjectRegistry::new();
     reg.register("Counter", Box::new(|| Box::new(Counter::new())));
     reg.register("Orchestrator", Box::new(|| Box::<Orchestrator>::default()));
     reg
+}
+
+/// The in-process domain the live soaks and sweeps run against: domain
+/// `domain` on 4 processors, with a 3-replica active `Counter` in each
+/// of `groups`.
+pub fn counter_host(
+    domain: u32,
+    seed: u64,
+    groups: impl IntoIterator<Item = GroupId>,
+) -> ftd_core::Result<DomainHost> {
+    let mut host = DomainHost::try_start(domain, 4, seed, registry)?;
+    for group in groups {
+        host.create_group(
+            group,
+            "Counter",
+            FtProperties::new(ReplicationStyle::Active).with_initial(3),
+        );
+    }
+    Ok(host)
 }
 
 /// Builds one operational domain with a replicated [`SERVER`] counter.
@@ -227,11 +251,6 @@ pub fn one_round_trip(world: &mut World, client: ProcessorId, delta: u64) -> Sim
         .len();
     plain_send(world, client, "add", &delta.to_be_bytes());
     run_until_plain_replies(world, client, before + 1).expect("reply within guard")
-}
-
-/// A timestamp helper for experiment reports.
-pub fn fmt_time(t: SimTime) -> String {
-    format!("{t}")
 }
 
 #[cfg(test)]

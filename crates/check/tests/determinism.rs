@@ -41,6 +41,11 @@
 //! admission credit pools and the host-side reply-latency stamps are
 //! banned.
 //!
+//! And it polices the single bench harness: the soaks and sweeps share
+//! `ftd_bench::soak` and `ftd_bench::cli`, so `crates/bench/src` holds
+//! exactly one `die`, and the names of the deleted Criterion-shaped
+//! micro-bench clone are banned everywhere.
+//!
 //! The same scanner also counts the code the simplicity reports quote:
 //! run `cargo test -p ftd-check --test determinism -- --nocapture
 //! code_lines` for the per-crate and total non-test code lines over
@@ -89,6 +94,10 @@ const SECOND_SHARD: &[&str] = &[
     "replenish_credits",
     "pending_latency",
 ];
+
+/// The deleted second bench harness (no allowlist): the Criterion-shaped
+/// micro-bench clone, its entry macro and its JSON report switch.
+const SECOND_HARNESS: &[&str] = &["Criterion", "bench_main", "BENCH_JSON"];
 
 const ALLOWED: &[&str] = &[
     "obs/src/clock.rs",
@@ -217,6 +226,29 @@ fn the_second_shard_stays_deleted() {
          in-flight window, no rate credits), and reply latency comes from \
          the engine's Action::Latency:\n{}",
         violations.join("\n")
+    );
+}
+
+#[test]
+fn the_second_harness_stays_deleted() {
+    let violations = scan(SECOND_HARNESS, &[]);
+    assert!(
+        violations.is_empty(),
+        "a retired name of the micro-bench harness is back — figure shapes \
+         come from `experiments eN` and per-stage ns from `benchmark \
+         --trace 1`:\n{}",
+        violations.join("\n")
+    );
+    let dies: Vec<String> = scan(&["fn die("], &[])
+        .into_iter()
+        .filter(|v| v.starts_with("crates/bench/src/"))
+        .collect();
+    assert_eq!(
+        dies.len(),
+        1,
+        "the bench binaries share one `die` (ftd_bench::cli) and one \
+         argument walker — parse with cli::parse instead of a private loop:\n{}",
+        dies.join("\n")
     );
 }
 
