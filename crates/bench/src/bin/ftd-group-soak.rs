@@ -382,9 +382,18 @@ fn metric(body: &str, name: &str) -> u64 {
 /// Scrapes `name` from a member, retrying until `want` holds or the
 /// deadline passes; returns the last value seen either way.
 fn scrape_until(addr: SocketAddr, name: &str, want: impl Fn(u64) -> bool) -> u64 {
+    scrape_sum_until(&[addr], name, want)
+}
+
+/// [`scrape_until`] over the sum of `name` across `addrs`, under one
+/// deadline.
+fn scrape_sum_until(addrs: &[SocketAddr], name: &str, want: impl Fn(u64) -> bool) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let value = scrape(addr).map(|body| metric(&body, name)).unwrap_or(0);
+        let value = addrs
+            .iter()
+            .map(|&addr| scrape(addr).map(|body| metric(&body, name)).unwrap_or(0))
+            .sum();
         if want(value) || Instant::now() > deadline {
             return value;
         }
@@ -577,17 +586,13 @@ fn run_kill(opts: &Opts, gatewayd: PathBuf) {
     // The verdict read, per survivor.
     let finals = read_finals(&iors, &survivors, expected_sum);
 
-    // Post-run counters from the survivors' admin endpoints.
-    let cache_hits: u64 = survivors
-        .iter()
-        .map(|&s| {
-            scrape_until(
-                metrics_addrs[s],
-                "gateway.reissues_served_from_cache",
-                |v| v >= 1,
-            )
-        })
-        .sum();
+    // Post-run counters from the survivors' admin endpoints. Only the
+    // survivor the probe's reissue reached serves it from its cache, so
+    // wait for the sum, not for each survivor.
+    let survivor_addrs: Vec<SocketAddr> = survivors.iter().map(|&s| metrics_addrs[s]).collect();
+    let cache_hits = scrape_sum_until(&survivor_addrs, "gateway.reissues_served_from_cache", |v| {
+        v >= 1
+    });
     let clients_gced: u64 = survivors
         .iter()
         .map(|&s| scrape_until(metrics_addrs[s], "gateway.clients_gced", |v| v >= 1))

@@ -1641,6 +1641,64 @@ mod tests {
     }
 
     #[test]
+    fn a_voting_group_leaves_no_ballot_behind() {
+        /// Server group 10 votes over three live replicas.
+        struct Voting;
+        impl DomainView for Voting {
+            fn live_gateway_peers(&self) -> usize {
+                1
+            }
+            fn votes(&self, _group: GroupId) -> bool {
+                true
+            }
+            fn live_replicas(&self, _group: GroupId) -> usize {
+                3
+            }
+        }
+        let mut gw = engine(0);
+        gw.on_client_accepted(GwConn(1));
+        let mut replies = 0;
+        for request_id in 1..=200u32 {
+            let req = Request {
+                request_id,
+                response_expected: true,
+                object_key: ObjectKey::new(0, 10).to_bytes(),
+                operation: "get".into(),
+                ..Request::default()
+            };
+            feed(
+                &mut gw,
+                GwConn(1),
+                &GiopMessage::Request(req).encode(ByteOrder::Big),
+            );
+            let reply = GiopMessage::Reply(Reply::success(request_id, vec![request_id as u8]))
+                .encode(ByteOrder::Big);
+            let payload = DomainMsg::Iiop {
+                header: FtHeader {
+                    client: 1,
+                    source: GroupId(10),
+                    target: GroupId(100),
+                    kind: OperationKind::Response,
+                    parent_ts: 0,
+                    child_seq: request_id,
+                },
+                iiop: reply,
+            }
+            .encode();
+            // One copy per replica: the second decides, the third is late.
+            for _ in 0..3 {
+                let out = gw.on_delivery_from_domain(GroupId(100), &payload, &Voting);
+                replies += out
+                    .iter()
+                    .filter(|a| matches!(a, Action::ToClient { .. }))
+                    .count();
+            }
+        }
+        assert_eq!(replies, 200, "one reply per request");
+        assert_eq!(gw.voter.open_ballots(), 0);
+    }
+
+    #[test]
     fn clocked_engine_emits_admission_to_reply_latency_once() {
         use ftd_obs::ManualClock;
         let clock = Arc::new(ManualClock::new());

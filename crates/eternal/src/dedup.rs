@@ -158,14 +158,30 @@ impl ResponseFilter {
     }
 }
 
+/// How many decided operations a [`Voter`] remembers, so that copies
+/// arriving after the winner are dropped.
+const DECIDED_MEMORY: usize = 4096;
+
 /// Majority voter for active-with-voting responses.
 ///
 /// Collects per-operation response copies (one per replica) and reports a
 /// winner once some byte-identical value reaches the majority threshold
-/// for the group size at that moment.
-#[derive(Debug, Default)]
+/// for the group size at that moment. Recently decided operation ids are
+/// remembered in a bounded FIFO, and a late copy of one is dropped: it
+/// could only open a ballot that never reaches a majority.
+#[derive(Debug)]
 pub struct Voter {
     ballots: BTreeMap<OperationId, Vec<Vec<u8>>>,
+    decided: ResponseFilter,
+}
+
+impl Default for Voter {
+    fn default() -> Self {
+        Voter {
+            ballots: BTreeMap::new(),
+            decided: ResponseFilter::new(DECIDED_MEMORY),
+        }
+    }
 }
 
 impl Voter {
@@ -175,8 +191,12 @@ impl Voter {
     }
 
     /// Records one replica's copy; returns the winning response if this
-    /// copy completes a majority of `group_size`.
+    /// copy completes a majority of `group_size`. A copy of an operation
+    /// already decided is dropped.
     pub fn vote(&mut self, id: OperationId, copy: Vec<u8>, group_size: usize) -> Option<Vec<u8>> {
+        if self.decided.seen.contains(&id) {
+            return None;
+        }
         let needed = group_size / 2 + 1;
         let ballots = self.ballots.entry(id).or_default();
         ballots.push(copy);
@@ -184,6 +204,7 @@ impl Voter {
         let count = ballots.iter().filter(|b| **b == last).count();
         if count >= needed {
             self.ballots.remove(&id);
+            self.decided.accept(id);
             Some(last)
         } else {
             None
@@ -290,6 +311,26 @@ mod tests {
         // Two matching out of five is not a majority.
         assert_eq!(v.vote(op(1), vec![4], 5), None);
         v.clear(op(1));
+        assert_eq!(v.open_ballots(), 0);
+    }
+
+    #[test]
+    fn late_copies_of_decided_operations_leave_no_ballot() {
+        let mut v = Voter::new();
+        for n in 0..1_000 {
+            assert_eq!(v.vote(op(n), vec![n as u8], 3), None);
+            assert_eq!(v.vote(op(n), vec![n as u8], 3), Some(vec![n as u8]));
+            assert_eq!(v.vote(op(n), vec![n as u8], 3), None, "late copy");
+        }
+        assert_eq!(v.open_ballots(), 0);
+    }
+
+    #[test]
+    fn a_masked_liar_arriving_last_leaves_no_ballot() {
+        let mut v = Voter::new();
+        assert_eq!(v.vote(op(1), vec![7], 3), None);
+        assert_eq!(v.vote(op(1), vec![7], 3), Some(vec![7]));
+        assert_eq!(v.vote(op(1), vec![99], 3), None);
         assert_eq!(v.open_ballots(), 0);
     }
 

@@ -30,6 +30,7 @@
 
 mod config;
 mod node;
+mod store;
 mod types;
 mod wire;
 

@@ -22,7 +22,16 @@
 //! ends the hold at once (see [`TotemNode::release_hold`] and
 //! [`TotemNode::release_tag`]); one queued at another member waits for
 //! the hold to end.
+//!
+//! Received messages are retained in a dense receive window indexed by
+//! sequence number ([`Window`]), so receipt, delivery, retransmission and
+//! garbage collection cost O(1) per message. The window spans only what
+//! the node retains: `retention_slack` below the stability point plus
+//! what is in flight. A fresh install at a high recovery floor and a
+//! skip-forward past a [`TotemEvent::Gap`] rebase it, so it never spans
+//! a sequence-number distance the node does not hold.
 
+use crate::store::Window;
 use crate::wire::{Beacon, Commit, Join, Pack, PackEntry, Regular, Token, TotemMsg};
 use crate::{
     DeliveryMode, GroupId, GroupMessage, MembershipView, RingEpoch, TotemConfig, TotemEvent,
@@ -82,8 +91,10 @@ pub struct TotemNode {
     /// `true` until the first ring installation after boot/recovery.
     fresh: bool,
 
-    /// Retained messages, keyed by sequence number; GC'd once stable.
-    store: BTreeMap<u64, Regular>,
+    /// Retained messages, indexed by sequence number. GC drops its stable
+    /// prefix; an install that moves the receipt point past what we hold
+    /// rebases it.
+    store: Window,
     /// Contiguous receipt point (this node's aru).
     received_up_to: u64,
     /// Delivery point handed to the host (lags `received_up_to` in safe mode).
@@ -134,7 +145,7 @@ impl TotemNode {
             installed_epoch: RingEpoch(0),
             ring: Vec::new(),
             fresh: true,
-            store: BTreeMap::new(),
+            store: Window::new(),
             received_up_to: 0,
             delivered_up_to: 0,
             stable_aru: 0,
@@ -263,6 +274,13 @@ impl TotemNode {
     /// rebroadcast: bounded by `retention_slack` plus what is in flight.
     pub fn retained(&self) -> usize {
         self.store.len()
+    }
+
+    /// Slots the receive window spans, filled or not: from its base to
+    /// the highest sequence number it holds. Bounded like
+    /// [`TotemNode::retained`], never by how far the receipt point moved.
+    pub fn window_slots(&self) -> usize {
+        self.store.slots()
     }
 
     /// Everything at or below this sequence number has been
@@ -530,6 +548,8 @@ impl TotemNode {
             // (the Eternal logging-recovery mechanisms) covers the gap.
             self.received_up_to = self.received_up_to.max(commit.recovery_floor);
             self.delivered_up_to = self.delivered_up_to.max(commit.recovery_floor);
+            // Nothing is retained yet: start the window at the floor.
+            self.store.drop_through(self.received_up_to);
             for (g, procs) in &commit.directory {
                 let entry = self.directory.entry(*g).or_default();
                 for p in procs {
@@ -552,6 +572,10 @@ impl TotemNode {
                 });
                 self.received_up_to = commit.recovery_floor;
                 self.delivered_up_to = commit.recovery_floor;
+                // What we hold at or below the floor is never needed
+                // again (no member's receipt point is below it), and
+                // keeping it would make the window span the gap.
+                self.store.drop_through(commit.recovery_floor);
                 self.advance_receipt();
             }
         }
@@ -561,8 +585,8 @@ impl TotemNode {
         // members that missed messages from the old ring can catch up.
         let to_rebroadcast: Vec<Regular> = if commit.recovery_floor < commit.start_seq {
             self.store
-                .range(commit.recovery_floor + 1..=commit.start_seq)
-                .map(|(_, m)| m.clone())
+                .range(commit.recovery_floor + 1, commit.start_seq)
+                .cloned()
                 .collect()
         } else {
             Vec::new()
@@ -618,18 +642,18 @@ impl TotemNode {
             }
             return;
         }
-        if m.seq <= self.received_up_to || self.store.contains_key(&m.seq) {
+        if m.seq <= self.received_up_to || self.store.contains(m.seq) {
             ctx.stats().inc("totem.duplicate_regulars");
             return;
         }
         self.high_seq = self.high_seq.max(m.seq);
-        self.store.insert(m.seq, m);
+        self.store.insert(m);
         self.advance_receipt();
         self.try_deliver(ctx);
     }
 
     fn advance_receipt(&mut self) {
-        while self.store.contains_key(&(self.received_up_to + 1)) {
+        while self.store.contains(self.received_up_to + 1) {
             self.received_up_to += 1;
         }
     }
@@ -642,7 +666,7 @@ impl TotemNode {
         while self.delivered_up_to < limit {
             let s = self.delivered_up_to + 1;
             self.delivered_up_to = s;
-            let m = self.store.get(&s).expect("contiguity below received_up_to");
+            let m = self.store.get(s).expect("contiguity below received_up_to");
             if m.control {
                 apply_control(&mut self.directory, m);
             } else if self.subscriptions.contains(&m.group) {
@@ -688,7 +712,7 @@ impl TotemNode {
         // 1. Serve retransmission requests we can satisfy.
         let mut unserved = Vec::with_capacity(token.rtr.len());
         for &s in &token.rtr {
-            if let Some(m) = self.store.get(&s) {
+            if let Some(m) = self.store.get(s) {
                 ctx.stats().inc("totem.retransmissions");
                 let mut copy = m.clone();
                 copy.epoch = self.installed_epoch; // re-stamp for this ring
@@ -709,7 +733,7 @@ impl TotemNode {
         let request_up_to = token.seq.min(self.seq_at_last_visit);
         let mut s = self.received_up_to + 1;
         while s <= request_up_to && token.rtr.len() < self.config.max_rtr {
-            if !self.store.contains_key(&s) && !token.rtr.contains(&s) {
+            if !self.store.contains(s) && !token.rtr.contains(&s) {
                 token.rtr.push(s);
             }
             s += 1;
@@ -738,7 +762,7 @@ impl TotemNode {
                 payload,
             };
             self.high_seq = self.high_seq.max(m.seq);
-            self.store.insert(m.seq, m.clone());
+            self.store.insert(m.clone());
             ctx.stats().inc("totem.broadcasts");
             if !frame.is_empty()
                 && (frame.len() >= self.config.max_pack_count
@@ -775,15 +799,9 @@ impl TotemNode {
         let gc_below = token.aru.saturating_sub(self.config.retention_slack);
         if gc_below > self.gc_floor {
             self.gc_floor = gc_below;
-            // Keys are sequence numbers: what falls below the floor is a
-            // prefix, so this costs the messages dropped, not the ones kept.
-            while self
-                .store
-                .first_key_value()
-                .is_some_and(|(&s, _)| s <= gc_below)
-            {
-                self.store.pop_first();
-            }
+            // What falls below the floor is the window's front, so this
+            // costs the messages dropped, not the ones kept.
+            self.store.drop_through(gc_below);
         }
 
         // 6. Hold the token if the ring is idle (ring leader only), else
@@ -1000,8 +1018,63 @@ mod tests {
         assert_eq!(node.gc_floor, node.stable_aru - 8);
         assert!(node.gc_floor >= 80, "floor stuck at {}", node.gc_floor);
         assert_eq!(
-            node.store.keys().copied().collect::<Vec<_>>(),
+            node.store.seqs(),
             (node.gc_floor + 1..=100).collect::<Vec<_>>()
+        );
+        assert_eq!(node.window_slots(), node.retained());
+    }
+
+    /// Multicasts one prepared `Commit` at 1.2 ms: after the fresh node's
+    /// join resends have landed, before its own gather would end.
+    struct Committer(Commit);
+
+    impl ftd_sim::Actor for Committer {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_micros(1_200), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+            ctx.lan_multicast(TotemMsg::Commit(self.0.clone()).encode());
+        }
+    }
+
+    #[test]
+    fn a_fresh_install_at_a_high_floor_allocates_no_window_below_it() {
+        const FLOOR: u64 = 1_000_000;
+        let mut world = ftd_sim::World::new(6);
+        let lan = world.add_lan(ftd_sim::LanConfig::default());
+        let p = world.add_processor("fresh", lan, |me| {
+            Box::new(Solo(TotemNode::new(me, TotemConfig::default(), 0)))
+        });
+        world.add_processor("committer", lan, move |_| {
+            Box::new(Committer(Commit {
+                epoch: RingEpoch(1 << 8),
+                representative: p,
+                members: vec![p],
+                start_seq: FLOOR,
+                recovery_floor: FLOOR,
+                directory: Vec::new(),
+            }))
+        });
+        world.run_for(SimDuration::from_millis(20));
+        let node = &mut world.actor_mut::<Solo>(p).unwrap().0;
+        assert!(node.is_operational());
+        assert_eq!(node.epoch(), RingEpoch(1 << 8), "installed the commit");
+        assert_eq!(node.received_up_to, FLOOR);
+        for i in 0..10u8 {
+            node.multicast(GroupId(1), vec![i]);
+        }
+        world.run_for(SimDuration::from_millis(20));
+        let node = &world.actor::<Solo>(p).unwrap().0;
+        assert_eq!(node.received_up_to, FLOOR + 10);
+        assert_eq!(
+            node.store.seqs(),
+            (FLOOR + 1..=FLOOR + 10).collect::<Vec<_>>()
+        );
+        assert_eq!(node.window_slots(), 10);
+        assert!(
+            node.store.capacity() < 1_024,
+            "window capacity {} for 10 messages",
+            node.store.capacity()
         );
     }
 

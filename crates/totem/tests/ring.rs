@@ -564,6 +564,7 @@ fn long_exclusion_yields_gap_event() {
     world.partition(&[&[procs[0], procs[1]], &[procs[2]]]);
     world.run_for(SimDuration::from_millis(50));
     // Traffic it will miss, well beyond the retention slack.
+    inject_burst(&mut world, procs[0], 100);
     for _ in 0..30 {
         for &p in &[procs[0], procs[1]] {
             world.post(p, EXTRA_TICK);
@@ -571,7 +572,21 @@ fn long_exclusion_yields_gap_event() {
         world.run_for(SimDuration::from_millis(5));
     }
     world.heal();
-    world.run_for(SimDuration::from_millis(200));
+    // From the Gap on, the rejoined node's receive window spans no more
+    // than the retention slack plus one rotation, however far it skipped.
+    let one_rotation = (procs.len() * config.max_messages_per_token) as u64;
+    let mut widest = 0;
+    for _ in 0..2_000 {
+        world.run_for(SimDuration::from_micros(100));
+        let rejoined: &Host = world.actor(procs[2]).unwrap();
+        if rejoined.gaps > 0 {
+            widest = widest.max(rejoined.totem.window_slots() as u64);
+        }
+    }
+    assert!(
+        widest <= config.retention_slack + one_rotation,
+        "the rejoined window spans {widest} slots"
+    );
     let rejoined: &Host = world.actor(procs[2]).unwrap();
     assert!(rejoined.totem.is_operational());
     assert_eq!(rejoined.totem.ring().len(), 3);
