@@ -959,14 +959,13 @@ impl GatewayEngine {
             parent_ts: 0,
             child_seq: req.request_id,
         };
-        let iiop = wire.to_vec();
         self.stamp_admission(op);
         out.push(Action::Count {
             counter: "gateway.requests_forwarded",
         });
         out.push(Action::Multicast {
             group: server,
-            payload: DomainMsg::Iiop { header, iiop }.encode(),
+            payload: DomainMsg::encode_iiop(&header, wire),
         });
     }
 

@@ -32,7 +32,7 @@
 use crate::engine::{Action, DomainView, GatewayEngine, GwConn};
 use crate::error::ShardError;
 use crate::gwmsg::GwMsg;
-use ftd_eternal::{DomainMsg, OperationId, OperationKind};
+use ftd_eternal::{DomainMsg, IiopView, OperationId, OperationKind};
 use ftd_giop::{ByteOrder, Frame, GiopError, GiopMessage, MsgType, ObjectKey};
 use ftd_obs::names;
 use ftd_totem::GroupId;
@@ -233,7 +233,8 @@ pub fn classify_delivery(router: &ShardRouter, payload: &[u8]) -> DeliveryRoute 
             GwMsg::PeerReply { server, .. } => DeliveryRoute::Shard(router.route(server)),
         };
     }
-    if let Ok(DomainMsg::Iiop { header, .. }) = DomainMsg::decode(payload) {
+    // The FT header alone decides; it is read in place, body untouched.
+    if let Ok(Some(IiopView { header, .. })) = DomainMsg::peek_iiop(payload) {
         if header.kind == OperationKind::Response {
             // For a response the FT header's source is the server group
             // that executed the invocation — the shard that forwarded it.

@@ -388,3 +388,145 @@ fn client_crash_mid_request_leaves_domain_consistent() {
     assert!(world.stats().counter("gateway.client_disconnects") >= 1);
     assert!(handle.is_operational(&world));
 }
+
+// ---------------------------------------------------------------------
+// GIOP minor versions and fragments: each request either executes
+// exactly `add(3)` under its own id, or is refused with MessageError
+// before anything reaches the ring.
+// ---------------------------------------------------------------------
+
+fn add3(request_id: u32) -> Request {
+    Request {
+        request_id,
+        response_expected: true,
+        object_key: ftd_giop::ObjectKey::new(1, SERVER.0).to_bytes(),
+        operation: "add".into(),
+        body: 3u64.to_be_bytes().to_vec(),
+        ..Request::default()
+    }
+}
+
+/// `add(3)` as GIOP 1.`minor` with the 1.0 request header (1.1 only
+/// renames the three padding octets after `response_expected` as
+/// reserved) and the given header flags octet.
+fn add3_with_header(request_id: u32, minor: u8, flags: u8) -> Vec<u8> {
+    let mut wire = GiopMessage::Request(add3(request_id)).encode(ByteOrder::Big);
+    wire[5] = minor;
+    wire[6] = flags;
+    wire
+}
+
+/// `add(3)` with GIOP 1.2's request header: request id first, response
+/// flags, three reserved octets, a `KeyAddr` target address, operation,
+/// service contexts, then the body aligned to 8.
+fn add3_giop_1_2(request_id: u32) -> Vec<u8> {
+    let mut body = ftd_giop::CdrEncoder::with_offset(ByteOrder::Big, 12);
+    body.write_ulong(request_id);
+    body.write_octet(3);
+    for _ in 0..3 {
+        body.write_octet(0);
+    }
+    body.write_short(0);
+    body.write_octets(&ftd_giop::ObjectKey::new(1, SERVER.0).to_bytes());
+    body.write_string("add");
+    body.write_ulong(0);
+    while !(12 + body.len()).is_multiple_of(8) {
+        body.write_octet(0);
+    }
+    body.write_raw(&3u64.to_be_bytes());
+    let body = body.into_bytes();
+    let mut wire = b"GIOP\x01\x02\x00\x00".to_vec();
+    wire.extend((body.len() as u32).to_be_bytes());
+    wire.extend(body);
+    wire
+}
+
+/// What one probe connection saw, and what it did to the domain.
+struct Outcome {
+    messages: Vec<GiopMessage>,
+    closed: bool,
+    broadcasts: u64,
+    counters: Vec<u64>,
+}
+
+fn send_raw(seed: u64, chunks: Vec<Vec<u8>>) -> Outcome {
+    let (mut world, handle) = domain(seed, 1);
+    let before = world.stats().counter("totem.broadcasts");
+    let prober = probe(&mut world, &handle, chunks);
+    world.run_for(SimDuration::from_millis(30));
+    let p = world.actor::<RawProber>(prober).unwrap();
+    let mut reader = FrameBuf::new();
+    reader.push(&p.received);
+    let mut messages = Vec::new();
+    while let Some(m) = reader.next_message().unwrap() {
+        messages.push(m);
+    }
+    let counters = handle
+        .processors
+        .iter()
+        .filter_map(|&p| {
+            world
+                .actor::<DomainDaemon>(p)
+                .and_then(|d| d.mech().replica_state(SERVER))
+        })
+        .map(|s| u64::from_be_bytes(s.try_into().unwrap()))
+        .collect();
+    Outcome {
+        messages,
+        closed: p.closed,
+        broadcasts: world.stats().counter("totem.broadcasts") - before,
+        counters,
+    }
+}
+
+fn assert_executed_add3(out: &Outcome, request_id: u32) {
+    match &out.messages[..] {
+        [GiopMessage::Reply(Reply {
+            request_id: id,
+            reply_status: ftd_giop::ReplyStatus::NoException,
+            body,
+            ..
+        })] => {
+            assert_eq!(*id, request_id, "reply under the request's own id");
+            assert_eq!(body[..], 3u64.to_be_bytes(), "add(3) executed");
+        }
+        other => panic!("expected one Reply, got {other:?}"),
+    }
+    assert!(!out.closed);
+    assert_eq!(out.counters, vec![3; 3], "every replica executed add(3)");
+}
+
+fn assert_refused(out: &Outcome) {
+    assert_eq!(out.messages, vec![GiopMessage::MessageError]);
+    assert!(out.closed, "a refused peer is disconnected");
+    assert_eq!(out.broadcasts, 0, "nothing reached the ring");
+    assert_eq!(out.counters, vec![0; 3], "nothing executed");
+}
+
+#[test]
+fn giop_1_0_request_executes_its_own_arguments() {
+    assert_executed_add3(&send_raw(21, vec![add3_with_header(1, 0, 0)]), 1);
+}
+
+#[test]
+fn giop_1_1_request_executes_its_own_arguments() {
+    assert_executed_add3(&send_raw(22, vec![add3_with_header(1, 1, 0)]), 1);
+}
+
+#[test]
+fn giop_1_2_request_is_refused_before_multicast() {
+    // Read with the 1.0 layout, id 0 would execute add(0) and id 1
+    // would reply under id 12; id 7 fails to parse at all.
+    for (seed, id) in [(23, 0), (24, 1), (25, 7)] {
+        assert_refused(&send_raw(seed, vec![add3_giop_1_2(id)]));
+    }
+}
+
+#[test]
+fn fragmented_request_is_refused_before_multicast() {
+    // A 1.1 Request with the more-fragments flag, then its Fragment
+    // (type 7) carrying nothing further.
+    let first = add3_with_header(1, 1, 0x02);
+    let fragment = b"GIOP\x01\x01\x00\x07\x00\x00\x00\x00".to_vec();
+    assert_refused(&send_raw(26, vec![first, fragment]));
+}

@@ -252,10 +252,30 @@ pub enum DomainMsg {
     },
 }
 
+/// A [`DomainMsg::Iiop`] read in place: the FT header parsed, the IIOP
+/// bytes borrowed from the payload rather than copied out of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IiopView<'a> {
+    /// The fault tolerance / gateway header.
+    pub header: FtHeader,
+    /// Raw IIOP bytes, borrowed from the payload.
+    pub iiop: &'a [u8],
+}
+
+/// Encoded length of an [`FtHeader`].
+const HEADER_LEN: usize = 4 + 4 + 4 + 1 + 8 + 4;
+
 struct W(Vec<u8>);
 impl W {
-    fn new(kind: u8) -> Self {
-        W(vec![kind])
+    /// A writer expecting `len` bytes, kind octet included: exact for
+    /// the messages every operation multicasts (IIOP, and a passive
+    /// group's state update, log record and checkpoint), so their
+    /// payloads need no reallocation. Rare control messages start at 64
+    /// and grow.
+    fn new(kind: u8, len: usize) -> Self {
+        let mut buf = Vec::with_capacity(len);
+        buf.push(kind);
+        W(buf)
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
@@ -297,12 +317,15 @@ impl<'a> R<'a> {
     fn u64(&mut self) -> Result<u64, FtMsgError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
     }
-    fn bytes(&mut self) -> Result<Vec<u8>, FtMsgError> {
+    fn slice(&mut self) -> Result<&'a [u8], FtMsgError> {
         let n = self.u32()? as usize;
         if n > self.buf.len() - self.pos {
             return Err(FtMsgError::Truncated);
         }
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
+    }
+    fn bytes(&mut self) -> Result<Vec<u8>, FtMsgError> {
+        Ok(self.slice()?.to_vec())
     }
     fn string(&mut self) -> Result<String, FtMsgError> {
         String::from_utf8(self.bytes()?).map_err(|_| FtMsgError::BadField("utf8 string"))
@@ -360,18 +383,25 @@ fn read_opid(r: &mut R<'_>) -> Result<OperationId, FtMsgError> {
     })
 }
 
+/// Encoded length of an [`OperationId`].
+const OPID_LEN: usize = 4 + 4 + 4 + 8 + 4;
+
 impl DomainMsg {
+    /// Encodes a [`DomainMsg::Iiop`] from borrowed parts: the one copy of
+    /// `iiop` is into the multicast payload.
+    pub fn encode_iiop(header: &FtHeader, iiop: &[u8]) -> Vec<u8> {
+        let mut w = W::new(1, 1 + HEADER_LEN + 4 + iiop.len());
+        write_header(&mut w, header);
+        w.bytes(iiop);
+        w.0
+    }
+
     /// Encodes the message for multicast.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            DomainMsg::Iiop { header, iiop } => {
-                let mut w = W::new(1);
-                write_header(&mut w, header);
-                w.bytes(iiop);
-                w.0
-            }
+            DomainMsg::Iiop { header, iiop } => Self::encode_iiop(header, iiop),
             DomainMsg::CreateGroup(meta) => {
-                let mut w = W::new(2);
+                let mut w = W::new(2, 64);
                 w.u32(meta.group.0);
                 w.string(&meta.type_name);
                 w.u8(meta.properties.style.to_u8());
@@ -388,7 +418,7 @@ impl DomainMsg {
                 applicant,
                 refresh,
             } => {
-                let mut w = W::new(3);
+                let mut w = W::new(3, 64);
                 w.u32(group.0);
                 w.u32(applicant.0);
                 w.u8(*refresh as u8);
@@ -400,7 +430,7 @@ impl DomainMsg {
                 state,
                 responses,
             } => {
-                let mut w = W::new(4);
+                let mut w = W::new(4, 64);
                 w.u32(group.0);
                 w.u32(donor.0);
                 w.bytes(state);
@@ -417,7 +447,7 @@ impl DomainMsg {
                 state,
                 response,
             } => {
-                let mut w = W::new(5);
+                let mut w = W::new(5, 1 + 4 + OPID_LEN + 4 + state.len() + 4 + response.len());
                 w.u32(group.0);
                 write_opid(&mut w, operation);
                 w.bytes(state);
@@ -430,7 +460,10 @@ impl DomainMsg {
                 response,
                 invocation,
             } => {
-                let mut w = W::new(6);
+                let mut w = W::new(
+                    6,
+                    1 + 4 + OPID_LEN + 4 + response.len() + 4 + invocation.len(),
+                );
                 w.u32(group.0);
                 write_opid(&mut w, operation);
                 w.bytes(response);
@@ -438,24 +471,24 @@ impl DomainMsg {
                 w.0
             }
             DomainMsg::Checkpoint { group, state } => {
-                let mut w = W::new(7);
+                let mut w = W::new(7, 1 + 4 + 4 + state.len());
                 w.u32(group.0);
                 w.bytes(state);
                 w.0
             }
             DomainMsg::Upgrade { group, new_type } => {
-                let mut w = W::new(8);
+                let mut w = W::new(8, 64);
                 w.u32(group.0);
                 w.string(new_type);
                 w.0
             }
             DomainMsg::DirectoryRequest { requester } => {
-                let mut w = W::new(9);
+                let mut w = W::new(9, 64);
                 w.u32(requester.0);
                 w.0
             }
             DomainMsg::DirectorySync { requester, entries } => {
-                let mut w = W::new(10);
+                let mut w = W::new(10, 64);
                 w.u32(requester.0);
                 w.u32(entries.len() as u32);
                 for (meta, hosts) in entries {
@@ -478,6 +511,29 @@ impl DomainMsg {
         }
     }
 
+    /// Reads an IIOP message in place: the FT header parsed, the IIOP
+    /// bytes borrowed. Returns `Ok(None)` for every other message kind,
+    /// which [`DomainMsg::decode`] reads. Accepts and refuses exactly the
+    /// IIOP payloads [`DomainMsg::decode`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`FtMsgError`] for an empty payload or a truncated or
+    /// malformed IIOP message.
+    pub fn peek_iiop(bytes: &[u8]) -> Result<Option<IiopView<'_>>, FtMsgError> {
+        match bytes.first() {
+            None => Err(FtMsgError::Truncated),
+            Some(1) => {
+                let mut r = R { buf: bytes, pos: 1 };
+                Ok(Some(IiopView {
+                    header: read_header(&mut r)?,
+                    iiop: r.slice()?,
+                }))
+            }
+            Some(_) => Ok(None),
+        }
+    }
+
     /// Decodes a multicast payload.
     ///
     /// # Errors
@@ -491,10 +547,13 @@ impl DomainMsg {
         let kind = bytes[0];
         let mut r = R { buf: bytes, pos: 1 };
         Ok(match kind {
-            1 => DomainMsg::Iiop {
-                header: read_header(&mut r)?,
-                iiop: r.bytes()?,
-            },
+            1 => {
+                let view = Self::peek_iiop(bytes)?.expect("kind 1");
+                DomainMsg::Iiop {
+                    header: view.header,
+                    iiop: view.iiop.to_vec(),
+                }
+            }
             2 => {
                 let group = GroupId(r.u32()?);
                 let type_name = r.string()?;
@@ -642,6 +701,32 @@ mod tests {
             iiop: vec![0xCA, 0xFE],
         };
         assert_eq!(DomainMsg::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn peek_iiop_reads_the_header_in_place() {
+        let m = DomainMsg::Iiop {
+            header: header(),
+            iiop: vec![0xCA, 0xFE],
+        };
+        let wire = m.encode();
+        assert_eq!(wire.capacity(), wire.len(), "exact-size encode");
+        let view = DomainMsg::peek_iiop(&wire).unwrap().unwrap();
+        assert_eq!(view.header, header());
+        assert_eq!(view.iiop, &[0xCA, 0xFE]);
+        assert_eq!(view.iiop.as_ptr(), wire[wire.len() - 2..].as_ptr());
+        let other = DomainMsg::DirectoryRequest {
+            requester: ProcessorId(1),
+        };
+        assert_eq!(DomainMsg::peek_iiop(&other.encode()), Ok(None));
+        assert_eq!(DomainMsg::peek_iiop(&[]), Err(FtMsgError::Truncated));
+        for cut in 1..wire.len() {
+            assert_eq!(
+                DomainMsg::peek_iiop(&wire[..cut]).is_err(),
+                DomainMsg::decode(&wire[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

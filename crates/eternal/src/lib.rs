@@ -47,7 +47,7 @@ pub use app::{AppObject, Counter, ObjectFactory, ObjectRegistry, Outcome};
 pub use daemon::{DaemonExtension, EternalDaemon, TOTEM_TAG_BASE};
 pub use dedup::{InvocationCheck, InvocationTable, ResponseFilter, Voter};
 pub use ftmsg::{
-    DomainMsg, FtHeader, FtMsgError, GroupMeta, MessageId, OperationId, OperationKind,
+    DomainMsg, FtHeader, FtMsgError, GroupMeta, IiopView, MessageId, OperationId, OperationKind,
     UNUSED_CLIENT_ID,
 };
 pub use interceptor::{GatewayEndpoint, IorPublisher};

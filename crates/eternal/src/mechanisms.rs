@@ -11,6 +11,14 @@
 //! to new and recovering replicas, and replays unanswered invocations when
 //! a passive primary fails over — including the paper's §3 scenario where
 //! the failed primary died awaiting nested responses.
+//!
+//! A delivery's payload is a shared slice of the frame Totem received
+//! (see [`ftd_sim::Bytes`]). The FT header is parsed in place and the
+//! IIOP bytes of an invocation stay a slice of that frame while it waits
+//! in a replica's queue or runs; the request is read from them without a
+//! copy. What may be kept longer than Totem's window keeps the frame
+//! alive — a passive backup's unanswered invocations, deliveries
+//! buffered while awaiting state, voting ballots — so it is copied out.
 
 use crate::manager::DomainDirectory;
 use crate::{
@@ -18,8 +26,10 @@ use crate::{
     InvocationTable, ObjectRegistry, OpRecord, OperationId, OperationKind, Outcome,
     ReplicationStyle, ResponseFilter, Voter, UNUSED_CLIENT_ID,
 };
-use ftd_giop::{ByteOrder, GiopMessage, ObjectKey, Reply, Request};
-use ftd_sim::{Context, ProcessorId};
+use ftd_giop::{
+    ByteOrder, Frame, FrameHeader, GiopMessage, ObjectKey, Reply, Request, RequestView,
+};
+use ftd_sim::{Bytes, Context, ProcessorId};
 use ftd_totem::{GroupId, GroupMessage, MembershipView, TotemNode};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -97,14 +107,26 @@ struct ActiveOp {
     reply_to: GroupId,
     request_id: u32,
     child_count: u32,
-    invocation_iiop: Vec<u8>,
+    /// The invocation's IIOP bytes, which a cold-passive primary logs.
+    invocation_iiop: Bytes,
 }
 
 #[derive(Debug, Clone)]
 struct QueuedInvocation {
     ts: u64,
     header: FtHeader,
-    iiop: Vec<u8>,
+    iiop: Bytes,
+}
+
+impl QueuedInvocation {
+    /// The same invocation holding its own copy of the IIOP bytes, so
+    /// keeping it does not keep the delivered frame alive.
+    fn detached(self) -> Self {
+        QueuedInvocation {
+            iiop: Bytes::from(self.iiop.to_vec()),
+            ..self
+        }
+    }
 }
 
 struct ReplicaRuntime {
@@ -114,10 +136,12 @@ struct ReplicaRuntime {
     busy: Option<ActiveOp>,
     queue: VecDeque<QueuedInvocation>,
     /// Invocations delivered but not executed here (passive backup),
-    /// pending evidence that the primary answered them.
+    /// pending evidence that the primary answered them. Detached copies:
+    /// a failed primary can leave them here indefinitely.
     unanswered: BTreeMap<OperationId, QueuedInvocation>,
     awaiting_state: bool,
-    /// Group messages buffered while awaiting state, replayed after.
+    /// Group messages buffered while awaiting state, replayed after;
+    /// payloads copied out of their frames.
     buffered: Vec<GroupMessage>,
     /// Cold passive: has this replica replayed its log into the object?
     promoted: bool,
@@ -316,12 +340,18 @@ impl Mechanisms {
     /// Handles one totally ordered delivery.
     pub fn on_deliver(&mut self, ctx: &mut Context<'_>, totem: &mut TotemNode, msg: &GroupMessage) {
         // Buffer group traffic for replicas awaiting state (except the
-        // transfer itself, which releases the buffer).
-        if let Some(group) = message_group(msg) {
-            if let Some(rt) = self.replicas.get_mut(&group) {
-                if rt.awaiting_state && !is_state_transfer(msg) {
-                    rt.buffered.push(msg.clone());
-                    return;
+        // transfer itself, which releases the buffer). Only then is the
+        // message's group worth decoding.
+        if self.replicas.values().any(|rt| rt.awaiting_state) {
+            if let Some(group) = message_group(msg) {
+                if let Some(rt) = self.replicas.get_mut(&group) {
+                    if rt.awaiting_state && !is_state_transfer(msg) {
+                        rt.buffered.push(GroupMessage {
+                            payload: Bytes::from(msg.payload.to_vec()),
+                            ..msg.clone()
+                        });
+                        return;
+                    }
                 }
             }
         }
@@ -329,6 +359,26 @@ impl Mechanisms {
     }
 
     fn dispatch(&mut self, ctx: &mut Context<'_>, totem: &mut TotemNode, msg: &GroupMessage) {
+        // Fig. 4 traffic: the header parsed in place, the IIOP bytes a
+        // slice of the delivered frame.
+        match DomainMsg::peek_iiop(&msg.payload) {
+            Ok(Some(view)) => {
+                let iiop = msg.payload.slice_ref(view.iiop);
+                let header = view.header;
+                match header.kind {
+                    OperationKind::Invocation => {
+                        self.on_invocation(ctx, totem, msg.seq, header, iiop)
+                    }
+                    OperationKind::Response => self.on_response(ctx, totem, msg.seq, header, iiop),
+                }
+                return;
+            }
+            Ok(None) => {}
+            Err(_) => {
+                ctx.stats().inc("eternal.bad_payloads");
+                return;
+            }
+        }
         let decoded = match DomainMsg::decode(&msg.payload) {
             Ok(d) => d,
             Err(FtMsgError::UnknownKind(_)) => return, // gateway-layer payloads
@@ -338,10 +388,7 @@ impl Mechanisms {
             }
         };
         match decoded {
-            DomainMsg::Iiop { header, iiop } => match header.kind {
-                OperationKind::Invocation => self.on_invocation(ctx, totem, msg.seq, header, iiop),
-                OperationKind::Response => self.on_response(ctx, totem, msg.seq, header, iiop),
-            },
+            DomainMsg::Iiop { .. } => unreachable!("read in place above"),
             DomainMsg::CreateGroup(meta) => self.on_create_group(ctx, totem, meta),
             DomainMsg::StateRequest {
                 group,
@@ -730,7 +777,7 @@ impl Mechanisms {
         totem: &mut TotemNode,
         ts: u64,
         header: FtHeader,
-        iiop: Vec<u8>,
+        iiop: Bytes,
     ) {
         let group = header.target;
         let Some(meta) = self.dir.meta(group) else {
@@ -759,11 +806,7 @@ impl Mechanisms {
                     };
                     totem.multicast(
                         header.source,
-                        DomainMsg::Iiop {
-                            header: response_header,
-                            iiop: response_iiop,
-                        }
-                        .encode(),
+                        DomainMsg::encode_iiop(&response_header, &response_iiop),
                     );
                 }
             }
@@ -778,7 +821,7 @@ impl Mechanisms {
                 } else {
                     // Passive backup: remember it until the primary's
                     // answer is evidenced, for failover replay.
-                    rt.unanswered.insert(op, q);
+                    rt.unanswered.insert(op, q.detached());
                 }
             }
         }
@@ -796,7 +839,7 @@ impl Mechanisms {
             let Some(q) = rt.queue.pop_front() else {
                 return;
             };
-            let Ok(GiopMessage::Request(request)) = GiopMessage::decode(&q.iiop) else {
+            let Some(request) = request_view(&q.iiop) else {
                 ctx.stats().inc("eternal.bad_iiop");
                 continue;
             };
@@ -812,7 +855,7 @@ impl Mechanisms {
             });
             let entropy = self.entropy(ctx, &op);
             let rt = self.replicas.get_mut(&group).expect("still hosted");
-            let outcome = rt.object.invoke(&request.operation, &request.body, entropy);
+            let outcome = rt.object.invoke(request.operation, request.body, entropy);
             self.settle(ctx, totem, group, outcome);
         }
     }
@@ -915,11 +958,7 @@ impl Mechanisms {
         };
         totem.multicast(
             active.reply_to,
-            DomainMsg::Iiop {
-                header: response_header,
-                iiop: reply_iiop.clone(),
-            }
-            .encode(),
+            DomainMsg::encode_iiop(&response_header, &reply_iiop),
         );
 
         // 2. Style-specific state replication.
@@ -946,7 +985,7 @@ impl Mechanisms {
                         group,
                         operation: active.op,
                         response: reply_iiop,
-                        invocation: active.invocation_iiop,
+                        invocation: active.invocation_iiop.to_vec(),
                     }
                     .encode(),
                 );
@@ -967,7 +1006,7 @@ impl Mechanisms {
         totem: &mut TotemNode,
         _ts: u64,
         header: FtHeader,
-        iiop: Vec<u8>,
+        iiop: Bytes,
     ) {
         let op = header.operation_id();
         // Voting applies to responses from active-with-voting groups.
@@ -982,8 +1021,10 @@ impl Mechanisms {
                 .live_hosts(header.source, &self.membership)
                 .len()
                 .max(1);
-            match self.voter.vote(op, iiop, group_size) {
-                Some(winner) if self.response_filter.accept(op) => winner,
+            // A ballot can wait on a replica that never answers: it
+            // holds a copy, not the frame.
+            match self.voter.vote(op, iiop.to_vec(), group_size) {
+                Some(winner) if self.response_filter.accept(op) => Bytes::from(winner),
                 _ => {
                     ctx.stats().inc("eternal.votes_pending_or_dup");
                     return;
@@ -997,12 +1038,19 @@ impl Mechanisms {
             iiop
         };
 
+        // Only a root call or a suspended replica here reads the reply;
+        // everywhere else (every other gateway-group processor, say) the
+        // accepted response needs no decoding.
+        let root = header.target == stub_group(self.me);
+        if !root && !self.pending_children.contains_key(&op) {
+            return;
+        }
         let Ok(GiopMessage::Reply(reply)) = GiopMessage::decode(&accepted_iiop) else {
             ctx.stats().inc("eternal.bad_iiop");
             return;
         };
 
-        if header.target == stub_group(self.me) {
+        if root {
             self.root_replies.push(RootReply {
                 call: op.child_seq,
                 body: reply.body,
@@ -1159,6 +1207,17 @@ pub fn derive_entropy(op: &OperationId) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Borrowed decode of the Request in `iiop`, reading exactly what
+/// `GiopMessage::decode` reads (the declared frame; trailing bytes
+/// ignored). `None` for anything that is not a well-formed Request.
+fn request_view(iiop: &[u8]) -> Option<RequestView<'_>> {
+    let header = FrameHeader::peek(iiop).ok()??;
+    Frame::parse(iiop.get(..header.wire_len())?)
+        .ok()?
+        .request()
+        .ok()?
 }
 
 /// The group whose replicas care about this message, if group-scoped.

@@ -84,6 +84,17 @@ impl CdrEncoder {
         }
     }
 
+    /// An encoder that appends to `buf`, aligning relative to its start:
+    /// a message header already written there is part of the alignment
+    /// origin, and the body lands behind it without a second copy.
+    pub(crate) fn after(buf: Vec<u8>, order: ByteOrder) -> Self {
+        CdrEncoder {
+            buf,
+            order,
+            origin: 0,
+        }
+    }
+
     /// Bytes written so far (excluding any origin offset).
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -24,8 +24,13 @@ pub enum GiopError {
         /// Minor version found.
         minor: u8,
     },
-    /// An unknown message type octet in the GIOP header.
+    /// An unknown message type octet in the GIOP header (including
+    /// GIOP 1.1's `Fragment`, 7, which this implementation does not
+    /// reassemble).
     UnknownMessageType(u8),
+    /// The header's more-fragments flag is set: the message continues in
+    /// `Fragment` messages, which this implementation does not reassemble.
+    Fragmented,
     /// An enum discriminant outside the defined range.
     BadEnumValue {
         /// The enum being decoded.
@@ -66,6 +71,7 @@ impl fmt::Display for GiopError {
                 write!(f, "unsupported GIOP version {major}.{minor}")
             }
             GiopError::UnknownMessageType(t) => write!(f, "unknown GIOP message type {t}"),
+            GiopError::Fragmented => write!(f, "fragmented GIOP message (unsupported)"),
             GiopError::BadEnumValue { what, value } => {
                 write!(f, "invalid {what} discriminant {value}")
             }

@@ -25,9 +25,26 @@ use crate::msg::{GiopMessage, MsgType, Request, ServiceContext, GIOP_HEADER_LEN}
 use crate::GiopError;
 use std::ops::Range;
 
+/// The more-fragments bit of the GIOP 1.1 header flags octet.
+const MORE_FRAGMENTS: u8 = 0x02;
+
+/// Skips the three reserved octets a GIOP 1.1 request header carries
+/// after `response_expected`. (In 1.0 the same three bytes are alignment
+/// padding before the object key, which the key's read skips.)
+pub(crate) fn skip_reserved(dec: &mut CdrDecoder<'_>, minor: u8) -> Result<(), GiopError> {
+    if minor == 1 {
+        for _ in 0..3 {
+            dec.read_octet()?;
+        }
+    }
+    Ok(())
+}
+
 /// The parsed fixed-size GIOP header, borrowed in place from the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
+    /// GIOP minor version: 0 or 1 (major is always 1).
+    pub minor: u8,
     /// Byte order of the message body (header flag octet).
     pub order: ByteOrder,
     /// The message type octet, decoded.
@@ -44,9 +61,16 @@ impl FrameHeader {
     /// # Errors
     ///
     /// Returns [`GiopError::BadMagic`], [`GiopError::UnsupportedVersion`],
-    /// or [`GiopError::UnknownMessageType`] for streams that can never
-    /// become a valid message, so callers can fail fast before the body
-    /// arrives.
+    /// [`GiopError::Fragmented`] or [`GiopError::UnknownMessageType`] for
+    /// streams that can never become a valid message, so callers can fail
+    /// fast before the body arrives.
+    ///
+    /// GIOP 1.0 and 1.1 are accepted: their headers share one layout,
+    /// and a 1.1 request differs only in three reserved octets that the
+    /// request decoders skip explicitly. GIOP 1.2 moves the request id to
+    /// the front of the request header, so reading it with the 1.0
+    /// layout would execute the wrong operation or argument: it is
+    /// refused, as is a 1.1 message continued in fragments.
     pub fn peek(bytes: &[u8]) -> Result<Option<FrameHeader>, GiopError> {
         if bytes.len() < GIOP_HEADER_LEN {
             return Ok(None);
@@ -56,8 +80,11 @@ impl FrameHeader {
             return Err(GiopError::BadMagic(magic));
         }
         let (major, minor) = (bytes[4], bytes[5]);
-        if major != 1 {
+        if major != 1 || minor > 1 {
             return Err(GiopError::UnsupportedVersion { major, minor });
+        }
+        if bytes[6] & MORE_FRAGMENTS != 0 {
+            return Err(GiopError::Fragmented);
         }
         let order = ByteOrder::from_flag(bytes[6]);
         let msg_type = MsgType::from_octet(bytes[7])?;
@@ -67,6 +94,7 @@ impl FrameHeader {
             ByteOrder::Little => u32::from_le_bytes(len_bytes),
         } as usize;
         Ok(Some(FrameHeader {
+            minor,
             order,
             msg_type,
             body_len,
@@ -184,6 +212,7 @@ impl<'a> Frame<'a> {
         }
         let request_id = dec.read_ulong()?;
         let response_expected = dec.read_bool()?;
+        skip_reserved(&mut dec, self.header.minor)?;
         let object_key = dec.read_octets_ref()?;
         let operation = dec.read_str()?;
         let requesting_principal = dec.read_octets_ref()?;
@@ -476,6 +505,46 @@ mod tests {
             assert_eq!(h.wire_len(), wire.len());
         }
         assert!(FrameHeader::peek(&[0; 5]).unwrap().is_none());
+    }
+
+    #[test]
+    fn header_peek_accepts_1_0_and_1_1_and_refuses_the_rest() {
+        let wire = GiopMessage::Request(sample_request()).encode(ByteOrder::Big);
+        let with = |at: usize, v: u8| {
+            let mut w = wire.clone();
+            w[at] = v;
+            w
+        };
+        assert_eq!(FrameHeader::peek(&wire).unwrap().unwrap().minor, 0);
+        assert_eq!(FrameHeader::peek(&with(5, 1)).unwrap().unwrap().minor, 1);
+        for minor in [2, 3, 0xFF] {
+            assert_eq!(
+                FrameHeader::peek(&with(5, minor)),
+                Err(GiopError::UnsupportedVersion { major: 1, minor })
+            );
+        }
+        let fragmented = with(6, 0x02);
+        assert_eq!(FrameHeader::peek(&fragmented), Err(GiopError::Fragmented));
+        assert_eq!(
+            FrameHeader::peek(&with(7, 7)),
+            Err(GiopError::UnknownMessageType(7))
+        );
+    }
+
+    #[test]
+    fn a_1_1_request_reads_like_its_1_0_twin() {
+        let req = sample_request();
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            let mut wire = GiopMessage::Request(req.clone()).encode(order);
+            wire[5] = 1;
+            let frame = Frame::parse(&wire).unwrap();
+            let view = frame.request().unwrap().expect("is a request");
+            assert_eq!(view.to_owned_request(), req);
+            assert_eq!(
+                GiopMessage::decode(&wire).unwrap(),
+                GiopMessage::Request(req.clone())
+            );
+        }
     }
 
     #[test]

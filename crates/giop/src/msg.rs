@@ -264,7 +264,16 @@ impl GiopMessage {
 
     /// Encodes the message (header + body) as wire bytes in `order`.
     pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
-        let mut body = CdrEncoder::with_offset(order, GIOP_HEADER_LEN);
+        // The header goes first with a zero length, patched once the body
+        // behind it is written: one buffer, sized for the common case.
+        let mut out = Vec::with_capacity(GIOP_HEADER_LEN + self.body_hint());
+        out.extend(*b"GIOP");
+        out.push(GIOP_VERSION.0);
+        out.push(GIOP_VERSION.1);
+        out.push(order.flag());
+        out.push(self.msg_type().to_octet());
+        out.extend([0; 4]);
+        let mut body = CdrEncoder::after(out, order);
         match self {
             GiopMessage::Request(r) => {
                 write_service_contexts(&mut body, &r.service_contexts);
@@ -298,20 +307,34 @@ impl GiopMessage {
             }
             GiopMessage::CloseConnection | GiopMessage::MessageError => {}
         }
-        let body = body.into_bytes();
-
-        let mut out = Vec::with_capacity(GIOP_HEADER_LEN + body.len());
-        out.extend(*b"GIOP");
-        out.push(GIOP_VERSION.0);
-        out.push(GIOP_VERSION.1);
-        out.push(order.flag());
-        out.push(self.msg_type().to_octet());
-        match order {
-            ByteOrder::Big => out.extend((body.len() as u32).to_be_bytes()),
-            ByteOrder::Little => out.extend((body.len() as u32).to_le_bytes()),
-        }
-        out.extend(body);
+        let mut out = body.into_bytes();
+        let body_len = (out.len() - GIOP_HEADER_LEN) as u32;
+        out[8..GIOP_HEADER_LEN].copy_from_slice(&match order {
+            ByteOrder::Big => body_len.to_be_bytes(),
+            ByteOrder::Little => body_len.to_le_bytes(),
+        });
         out
+    }
+
+    /// Roughly the body length [`GiopMessage::encode`] writes: the
+    /// variable-length fields plus room for the fixed ones and padding.
+    fn body_hint(&self) -> usize {
+        let contexts = |list: &[ServiceContext]| -> usize {
+            list.iter().map(|c| 12 + c.context_data.len()).sum()
+        };
+        match self {
+            GiopMessage::Request(r) => {
+                contexts(&r.service_contexts)
+                    + r.object_key.len()
+                    + r.operation.len()
+                    + r.requesting_principal.len()
+                    + r.body.len()
+                    + 40
+            }
+            GiopMessage::Reply(r) => contexts(&r.service_contexts) + r.body.len() + 16,
+            GiopMessage::LocateRequest { object_key, .. } => object_key.len() + 16,
+            _ => 8,
+        }
     }
 
     /// Decodes one complete GIOP message from `bytes`.
@@ -336,6 +359,7 @@ impl GiopMessage {
                 let service_contexts = read_service_contexts(&mut dec)?;
                 let request_id = dec.read_ulong()?;
                 let response_expected = dec.read_bool()?;
+                crate::frame::skip_reserved(&mut dec, header.minor)?;
                 let object_key = dec.read_octets()?;
                 let operation = dec.read_string()?;
                 let requesting_principal = dec.read_octets()?;

@@ -48,7 +48,9 @@ impl DaemonExtension for Relay {
         msg: &GroupMessage,
     ) {
         if self.join.is_some() {
-            self.deliveries.push((msg.group, msg.payload.clone()));
+            // The one copy out of the domain: the shard threads get owned
+            // bytes, the world's shared buffers stay on this thread.
+            self.deliveries.push((msg.group, msg.payload.to_vec()));
         }
     }
 }

@@ -1363,6 +1363,15 @@ fn stats_from_registry(registry: &Registry) -> Stats {
     stats
 }
 
+/// First pause after a failed `accept`; each further failure in a row
+/// doubles it, up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+
+/// Longest pause between failing `accept` calls: bounds both the
+/// listener's wake-ups at the descriptor limit and how late it notices
+/// a shutdown or a freed descriptor.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
 fn accept_loop(
     listener: TcpListener,
     queues: Vec<ShardQueue>,
@@ -1371,11 +1380,21 @@ fn accept_loop(
     partial_writes: Arc<Counter>,
 ) {
     let mut next_id = 1u64;
+    let mut backoff = Duration::ZERO;
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Most likely out of descriptors: the pending connection stays
+            // queued and the next accept fails the same way until one is
+            // freed. Count it and pause, longer each time in a row.
+            shared.registry.inc(names::NET_ACCEPT_ERRORS);
+            backoff = (backoff * 2).clamp(ACCEPT_BACKOFF_MIN, ACCEPT_BACKOFF_MAX);
+            std::thread::sleep(backoff);
+            continue;
+        };
+        backoff = Duration::ZERO;
         if !domain.healthy() {
             // Degraded: the domain behind us is unreachable. Shedding at
             // accept time fails fast (the client's connect succeeds but

@@ -16,6 +16,11 @@ pub const GATEWAY_HEALTH: &str = "gateway.health";
 /// Connections refused at accept time because the gateway was degraded.
 pub const NET_CONNECTIONS_SHED: &str = "net.connections_shed";
 
+/// `accept(2)` calls on the gateway's client listener that failed — at
+/// the process's descriptor limit (`EMFILE`), typically. Each failure
+/// is followed by a growing pause, so the listener does not spin.
+pub const NET_ACCEPT_ERRORS: &str = "net.accept_errors";
+
 /// Connections closed because a client outran the bounded
 /// per-connection inbound queue.
 pub const NET_QUEUE_OVERFLOWS: &str = "net.queue_overflows";
@@ -175,6 +180,7 @@ mod tests {
         for name in [
             super::GATEWAY_HEALTH,
             super::NET_CONNECTIONS_SHED,
+            super::NET_ACCEPT_ERRORS,
             super::NET_QUEUE_OVERFLOWS,
             super::NET_REACTOR_FDS,
             super::NET_REACTOR_WAKEUPS,

@@ -65,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bytes;
 mod fault;
 mod ids;
 mod net;
@@ -74,6 +75,7 @@ mod time;
 mod trace;
 mod world;
 
+pub use bytes::Bytes;
 pub use fault::{Blackout, DirPlan, Direction, Fault, FaultPlan, FaultSchedule, FaultWeights};
 pub use ids::{ConnId, LanId, NetAddr, ProcessorId, TimerId};
 pub use net::{Datagram, LanConfig, NetConfig, TcpError, TcpEvent};

@@ -13,7 +13,7 @@
 //!   when an endpoint crashes or a partition separates the endpoints, and
 //!   the survivor observes a [`TcpEvent::Closed`] after a detection delay.
 
-use crate::{ConnId, NetAddr, ProcessorId, SimDuration, SimTime};
+use crate::{Bytes, ConnId, NetAddr, ProcessorId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -78,8 +78,9 @@ impl Default for NetConfig {
 pub struct Datagram {
     /// The sending processor.
     pub from: ProcessorId,
-    /// Raw payload bytes.
-    pub payload: Vec<u8>,
+    /// Raw payload bytes, shared with every other receiver of the same
+    /// multicast.
+    pub payload: Bytes,
 }
 
 /// TCP lifecycle and data events delivered to an actor via

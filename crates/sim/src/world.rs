@@ -10,8 +10,8 @@
 use crate::net::{ConnSide, ConnState, NetState, TcpConn};
 use crate::rng::SimRng;
 use crate::{
-    ConnId, Datagram, LanConfig, LanId, NetAddr, NetConfig, ProcessorId, SimDuration, SimTime,
-    Stats, TcpError, TcpEvent, TimerId, TraceLog,
+    Bytes, ConnId, Datagram, LanConfig, LanId, NetAddr, NetConfig, ProcessorId, SimDuration,
+    SimTime, Stats, TcpError, TcpEvent, TimerId, TraceLog,
 };
 use std::any::Any;
 use std::cmp::Reverse;
@@ -825,8 +825,10 @@ impl<'a> Context<'a> {
 
     /// Multicasts a datagram to every processor on this LAN segment
     /// (including this one, if loopback is configured). Each receiver
-    /// independently experiences latency, jitter and loss.
-    pub fn lan_multicast(&mut self, payload: Vec<u8>) {
+    /// independently experiences latency, jitter and loss. Every receiver
+    /// shares the one payload buffer.
+    pub fn lan_multicast(&mut self, payload: impl Into<Bytes>) {
+        let payload = payload.into();
         let lan = self.my_lan();
         let cfg = self.core.lans[lan.0 as usize];
         self.core.stats.inc("net.multicasts_sent");
@@ -874,7 +876,7 @@ impl<'a> Context<'a> {
 
     /// Sends a unicast datagram (best-effort; same loss model as the LAN if
     /// intra-LAN, lossless but slower across segments).
-    pub fn datagram_to(&mut self, dest: ProcessorId, payload: Vec<u8>) {
+    pub fn datagram_to(&mut self, dest: ProcessorId, payload: impl Into<Bytes>) {
         if !self.core.reachable(self.me, dest) {
             self.core.stats.inc("net.datagrams_partitioned");
             return;
@@ -895,7 +897,7 @@ impl<'a> Context<'a> {
                 dest,
                 dgram: Datagram {
                     from: self.me,
-                    payload,
+                    payload: payload.into(),
                 },
             },
         );

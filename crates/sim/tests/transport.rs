@@ -183,7 +183,7 @@ impl Actor for Beacon {
         ctx.lan_multicast(b"beacon".to_vec());
     }
     fn on_datagram(&mut self, _ctx: &mut Context<'_>, dgram: Datagram) {
-        self.heard.push((dgram.from, dgram.payload));
+        self.heard.push((dgram.from, dgram.payload.to_vec()));
     }
 }
 

@@ -36,7 +36,7 @@ use crate::wire::{Beacon, Commit, Join, Pack, PackEntry, Regular, Token, TotemMs
 use crate::{
     DeliveryMode, GroupId, GroupMessage, MembershipView, RingEpoch, TotemConfig, TotemEvent,
 };
-use ftd_sim::{Context, Datagram, ProcessorId, SimDuration, SimTime};
+use ftd_sim::{Bytes, Context, Datagram, ProcessorId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Width of the timer-tag namespace a [`TotemNode`] claims from its host,
@@ -106,7 +106,7 @@ pub struct TotemNode {
     /// Everything at or below this has been garbage-collected locally.
     gc_floor: u64,
 
-    send_queue: VecDeque<(GroupId, Vec<u8>, bool)>,
+    send_queue: VecDeque<(GroupId, Bytes, bool)>,
     last_token_processed: u64,
     /// `token.seq` as this node forwarded it at its previous token visit:
     /// every sequence number at or below it was assigned a full rotation
@@ -194,9 +194,10 @@ impl TotemNode {
     /// Queues `payload` for totally ordered multicast to `group`. The
     /// message is broadcast at the next token visit (subject to flow
     /// control) and delivered to every subscriber of `group` in total
-    /// order — including this node, if subscribed.
-    pub fn multicast(&mut self, group: GroupId, payload: Vec<u8>) {
-        self.send_queue.push_back((group, payload, false));
+    /// order — including this node, if subscribed. The payload buffer
+    /// itself is what this node retains and delivers to itself.
+    pub fn multicast(&mut self, group: GroupId, payload: impl Into<Bytes>) {
+        self.send_queue.push_back((group, payload.into(), false));
     }
 
     /// Subscribes this node to `group` and announces the membership to the
@@ -205,14 +206,14 @@ impl TotemNode {
     pub fn join_group(&mut self, group: GroupId) {
         self.subscriptions.insert(group);
         self.send_queue
-            .push_back((group, control_payload(1, self.me), true));
+            .push_back((group, control_payload(1, self.me).into(), true));
     }
 
     /// Unsubscribes from `group` and announces the departure.
     pub fn leave_group(&mut self, group: GroupId) {
         self.subscriptions.remove(&group);
         self.send_queue
-            .push_back((group, control_payload(2, self.me), true));
+            .push_back((group, control_payload(2, self.me).into(), true));
     }
 
     /// All groups present in the converged directory.
@@ -295,8 +296,9 @@ impl TotemNode {
 
     /// Handles a datagram. Returns `true` if it was Totem traffic (whether
     /// or not it was useful); `false` lets the host route it elsewhere.
+    /// Retained and delivered messages share the datagram's buffer.
     pub fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: &Datagram) -> bool {
-        let msg = match TotemMsg::decode(&dgram.payload) {
+        let msg = match TotemMsg::decode_frame(&dgram.payload) {
             Ok(m) => m,
             Err(crate::WireError::NotTotem) => return false,
             Err(_) => {
@@ -1022,6 +1024,48 @@ mod tests {
             (node.gc_floor + 1..=100).collect::<Vec<_>>()
         );
         assert_eq!(node.window_slots(), node.retained());
+    }
+
+    #[test]
+    fn a_retained_message_pins_no_more_than_its_own_frame() {
+        let config = TotemConfig::default();
+        let mut world = ftd_sim::World::new(8);
+        let lan = world.add_lan(ftd_sim::LanConfig::default());
+        let add = |world: &mut ftd_sim::World, name| {
+            world.add_processor(name, lan, move |me| {
+                Box::new(Solo(TotemNode::new(me, config, 0)))
+            })
+        };
+        let sender = add(&mut world, "sender");
+        let receiver = add(&mut world, "receiver");
+        world.run_for(SimDuration::from_millis(30));
+        // Bursts of mixed sizes: packs of many small messages, packs cut
+        // by bytes, and messages too large to share a frame.
+        let sizes = [10usize, 700, 3000, 9000];
+        let node = &mut world.actor_mut::<Solo>(sender).unwrap().0;
+        assert!(node.is_operational());
+        for i in 0..64 {
+            node.multicast(GroupId(1), vec![i as u8; sizes[i % sizes.len()]]);
+        }
+        world.run_for(SimDuration::from_millis(30));
+        let node = &world.actor::<Solo>(receiver).unwrap().0;
+        let retained: Vec<&Regular> = node.store.range(0, u64::MAX).collect();
+        assert!(retained.len() >= 64, "the receiver holds the burst");
+        let overhead = 5 + 8 + 4 + 4 + config.max_pack_count * (8 + 4 + 1 + 4);
+        let mut shared = 0;
+        for m in retained {
+            let own = m.payload.len() + 5 + 8 + 8 + 4 + 4 + 1 + 4;
+            let bound = own.max(config.max_pack_bytes + overhead);
+            assert!(
+                m.payload.frame_len() <= bound,
+                "seq {} ({} bytes) pins a {}-byte frame",
+                m.seq,
+                m.payload.len(),
+                m.payload.frame_len()
+            );
+            shared += usize::from(m.payload.frame_len() > own);
+        }
+        assert!(shared > 0, "some messages arrived packed");
     }
 
     /// Multicasts one prepared `Commit` at 1.2 ms: after the fresh node's

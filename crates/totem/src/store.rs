@@ -142,7 +142,7 @@ mod tests {
             sender: ProcessorId(0),
             group: GroupId(1),
             control: false,
-            payload: vec![tag],
+            payload: vec![tag].into(),
         }
     }
 

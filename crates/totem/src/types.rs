@@ -1,6 +1,6 @@
 //! Public identifier and event types of the Totem layer.
 
-use ftd_sim::ProcessorId;
+use ftd_sim::{Bytes, ProcessorId};
 use std::fmt;
 
 /// Identifies a process group (an *object group* at the Eternal layer).
@@ -58,8 +58,9 @@ pub struct GroupMessage {
     pub sender: ProcessorId,
     /// The destination group.
     pub group: GroupId,
-    /// Application payload.
-    pub payload: Vec<u8>,
+    /// Application payload: a shared slice of the frame it arrived in (or
+    /// of the sender's own buffer), never a copy.
+    pub payload: Bytes,
 }
 
 /// A newly installed ring membership view.

@@ -3,9 +3,15 @@
 //! Totem runs directly over best-effort LAN datagrams, so it has its own
 //! compact binary format (distinct from the CDR used at the IIOP layer):
 //! a 4-byte magic, a kind octet, then big-endian fields.
+//!
+//! Encoders size each datagram exactly, so a frame shared by its
+//! receivers carries no growth slack. [`TotemMsg::decode_frame`] decodes
+//! a received datagram in place: every payload it yields is a slice of
+//! the datagram's one buffer, shared by every receiver and retained by
+//! each receive window without a copy.
 
 use crate::{GroupId, RingEpoch};
-use ftd_sim::ProcessorId;
+use ftd_sim::{Bytes, ProcessorId};
 use std::error::Error;
 use std::fmt;
 
@@ -51,7 +57,7 @@ pub struct Regular {
     /// `true` for the directory control messages (group join/leave).
     pub control: bool,
     /// Application payload.
-    pub payload: Vec<u8>,
+    pub payload: Bytes,
 }
 
 /// The rotating token (Totem single-ring protocol).
@@ -145,7 +151,7 @@ pub struct PackEntry {
     /// `true` for the directory control messages (group join/leave).
     pub control: bool,
     /// Application payload.
-    pub payload: Vec<u8>,
+    pub payload: Bytes,
 }
 
 /// Several sequenced messages from one sender coalesced into a single
@@ -209,13 +215,17 @@ pub enum TotemMsg {
     Pack(Pack),
 }
 
+/// Bytes before the first field: magic and kind octet.
+const PREFIX: usize = TOTEM_MAGIC.len() + 1;
+
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new(kind: u8) -> Self {
-        let mut buf = Vec::with_capacity(64);
+    /// A writer for a datagram of exactly `len` bytes, prefix included.
+    fn new(kind: u8, len: usize) -> Self {
+        let mut buf = Vec::with_capacity(len);
         buf.extend(TOTEM_MAGIC);
         buf.push(kind);
         Writer { buf }
@@ -241,7 +251,9 @@ impl Writer {
     }
 }
 
+/// Reads fields from `frame`; byte fields come out as shared slices of it.
 struct Reader<'a> {
+    frame: &'a Bytes,
     buf: &'a [u8],
     pos: usize,
 }
@@ -264,12 +276,14 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
     }
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    fn bytes(&mut self) -> Result<Bytes, WireError> {
         let n = self.u32()? as usize;
         if n > self.buf.len() - self.pos {
             return Err(WireError::Truncated);
         }
-        Ok(self.take(n)?.to_vec())
+        let at = self.pos;
+        self.take(n)?;
+        Ok(self.frame.slice(at..at + n))
     }
     fn procs(&mut self) -> Result<Vec<ProcessorId>, WireError> {
         let n = self.u32()? as usize;
@@ -281,11 +295,48 @@ impl<'a> Reader<'a> {
 }
 
 impl TotemMsg {
-    /// Encodes the message for transmission.
+    /// Length of the encoded datagram, in bytes.
+    fn encoded_len(&self) -> usize {
+        // The u32 element count in front of every list.
+        const COUNT: usize = 4;
+        PREFIX
+            + match self {
+                TotemMsg::Regular(m) => 8 + 8 + 4 + 4 + 1 + 4 + m.payload.len(),
+                TotemMsg::Token(t) => {
+                    8 * 4 + 4 + COUNT + 4 * t.members.len() + COUNT + 8 * t.rtr.len()
+                }
+                TotemMsg::Join(_) => 4 + 8 * 4 + 1,
+                TotemMsg::Beacon(_) => 8 + 4,
+                TotemMsg::Pack(p) => {
+                    8 + 4
+                        + COUNT
+                        + p.entries
+                            .iter()
+                            .map(|e| 8 + 4 + 1 + 4 + e.payload.len())
+                            .sum::<usize>()
+                }
+                TotemMsg::Commit(c) => {
+                    8 + 4
+                        + COUNT
+                        + 4 * c.members.len()
+                        + 8
+                        + 8
+                        + COUNT
+                        + c.directory
+                            .iter()
+                            .map(|(_, procs)| 4 + COUNT + 4 * procs.len())
+                            .sum::<usize>()
+                }
+            }
+    }
+
+    /// Encodes the message for transmission, into a buffer of exactly
+    /// its length.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
+        let len = self.encoded_len();
+        let buf = match self {
             TotemMsg::Regular(m) => {
-                let mut w = Writer::new(1);
+                let mut w = Writer::new(1, len);
                 w.u64(m.epoch.0);
                 w.u64(m.seq);
                 w.u32(m.sender.0);
@@ -295,7 +346,7 @@ impl TotemMsg {
                 w.buf
             }
             TotemMsg::Token(t) => {
-                let mut w = Writer::new(2);
+                let mut w = Writer::new(2, len);
                 w.u64(t.epoch.0);
                 w.u64(t.token_id);
                 w.u64(t.seq);
@@ -309,7 +360,7 @@ impl TotemMsg {
                 w.buf
             }
             TotemMsg::Join(j) => {
-                let mut w = Writer::new(3);
+                let mut w = Writer::new(3, len);
                 w.u32(j.sender.0);
                 w.u64(j.epoch.0);
                 w.u64(j.aru);
@@ -319,13 +370,13 @@ impl TotemMsg {
                 w.buf
             }
             TotemMsg::Beacon(b) => {
-                let mut w = Writer::new(5);
+                let mut w = Writer::new(5, len);
                 w.u64(b.epoch.0);
                 w.u32(b.sender.0);
                 w.buf
             }
             TotemMsg::Pack(p) => {
-                let mut w = Writer::new(6);
+                let mut w = Writer::new(6, len);
                 w.u64(p.epoch.0);
                 w.u32(p.sender.0);
                 w.u32(p.entries.len() as u32);
@@ -338,7 +389,7 @@ impl TotemMsg {
                 w.buf
             }
             TotemMsg::Commit(c) => {
-                let mut w = Writer::new(4);
+                let mut w = Writer::new(4, len);
                 w.u64(c.epoch.0);
                 w.u32(c.representative.0);
                 w.procs(&c.members);
@@ -351,21 +402,43 @@ impl TotemMsg {
                 }
                 w.buf
             }
-        }
+        };
+        debug_assert_eq!(buf.len(), len, "encoded_len disagrees with encode");
+        buf
     }
 
-    /// Decodes a datagram. Returns [`WireError::NotTotem`] for non-Totem
-    /// traffic so hosts can route datagrams among protocol components.
+    /// Decodes a datagram from borrowed bytes; payloads are copied out.
+    /// Returns [`WireError::NotTotem`] for non-Totem traffic so hosts can
+    /// route datagrams among protocol components.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] for foreign, truncated or unknown datagrams.
     pub fn decode(bytes: &[u8]) -> Result<TotemMsg, WireError> {
-        if bytes.len() < 5 || &bytes[0..4] != TOTEM_MAGIC {
+        if bytes.len() < PREFIX || &bytes[0..4] != TOTEM_MAGIC {
+            return Err(WireError::NotTotem);
+        }
+        Self::decode_frame(&Bytes::from(bytes))
+    }
+
+    /// Decodes a received datagram in place: every payload is a shared
+    /// slice of `frame`, so a frame packing several messages stays one
+    /// buffer however many receivers and windows retain its messages.
+    ///
+    /// # Errors
+    ///
+    /// As [`TotemMsg::decode`].
+    pub fn decode_frame(frame: &Bytes) -> Result<TotemMsg, WireError> {
+        let bytes: &[u8] = frame;
+        if bytes.len() < PREFIX || &bytes[0..4] != TOTEM_MAGIC {
             return Err(WireError::NotTotem);
         }
         let kind = bytes[4];
-        let mut r = Reader { buf: bytes, pos: 5 };
+        let mut r = Reader {
+            frame,
+            buf: bytes,
+            pos: PREFIX,
+        };
         Ok(match kind {
             1 => TotemMsg::Regular(Regular {
                 epoch: RingEpoch(r.u64()?),
@@ -487,7 +560,7 @@ mod tests {
             sender: ProcessorId(3),
             group: GroupId(9),
             control: true,
-            payload: vec![1, 2, 3],
+            payload: vec![1, 2, 3].into(),
         });
         assert_eq!(TotemMsg::decode(&m.encode()).unwrap(), m);
     }
@@ -541,19 +614,19 @@ mod tests {
                     seq: 43,
                     group: GroupId(9),
                     control: false,
-                    payload: vec![1, 2, 3],
+                    payload: vec![1, 2, 3].into(),
                 },
                 PackEntry {
                     seq: 44,
                     group: GroupId(10),
                     control: true,
-                    payload: vec![],
+                    payload: Vec::new().into(),
                 },
                 PackEntry {
                     seq: 45,
                     group: GroupId(9),
                     control: false,
-                    payload: vec![0xFF; 300],
+                    payload: vec![0xFF; 300].into(),
                 },
             ],
         }
@@ -585,6 +658,41 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn encoders_size_every_datagram_exactly() {
+        let msgs = [
+            TotemMsg::Pack(sample_pack()),
+            TotemMsg::Token(sample_token()),
+            TotemMsg::Beacon(Beacon {
+                epoch: RingEpoch(1),
+                sender: ProcessorId(2),
+            }),
+        ];
+        for m in msgs {
+            let wire = m.encode();
+            assert_eq!(wire.len(), m.encoded_len());
+            assert_eq!(wire.capacity(), wire.len(), "slack in {m:?}");
+        }
+    }
+
+    #[test]
+    fn decode_frame_slices_payloads_out_of_the_datagram() {
+        let frame = Bytes::from(TotemMsg::Pack(sample_pack()).encode());
+        let Ok(TotemMsg::Pack(p)) = TotemMsg::decode_frame(&frame) else {
+            panic!("not a pack");
+        };
+        let base = frame.as_ptr() as usize;
+        for e in &p.entries {
+            let at = e.payload.as_ptr() as usize - base;
+            assert!(
+                at + e.payload.len() <= frame.len(),
+                "payload outside the frame"
+            );
+            assert_eq!(e.payload.frame_len(), frame.len());
+        }
+        assert_eq!(TotemMsg::Pack(p), TotemMsg::Pack(sample_pack()));
     }
 
     #[test]

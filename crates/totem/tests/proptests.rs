@@ -17,7 +17,7 @@ fn arb_msg(g: &mut Gen) -> TotemMsg {
             sender: ProcessorId(g.u32()),
             group: GroupId(g.u32()),
             control: g.bool(),
-            payload: g.bytes(63),
+            payload: g.bytes(63).into(),
         }),
         1 => TotemMsg::Token(Token {
             epoch: RingEpoch(g.u64()),
@@ -150,7 +150,7 @@ mod end_to_end {
         fn drain(&mut self) {
             for ev in self.totem.take_events() {
                 if let TotemEvent::Deliver(m) = ev {
-                    self.delivered.push((m.seq, m.sender, m.payload));
+                    self.delivered.push((m.seq, m.sender, m.payload.to_vec()));
                 }
             }
         }

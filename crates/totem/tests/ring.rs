@@ -37,7 +37,9 @@ impl Host {
     fn drain(&mut self) {
         for ev in self.totem.take_events() {
             match ev {
-                TotemEvent::Deliver(m) => self.delivered.push((m.seq, m.sender, m.payload)),
+                TotemEvent::Deliver(m) => {
+                    self.delivered.push((m.seq, m.sender, m.payload.to_vec()))
+                }
                 TotemEvent::Membership(v) => self.memberships.push(v),
                 TotemEvent::Gap { .. } => self.gaps += 1,
             }
