@@ -9,6 +9,11 @@
 //! - protocol counts (`totem.broadcasts`, `net.multicasts_sent`), which
 //!   must match the table exactly: a change in them is a change in what
 //!   the ring does, not in how fast the code runs;
+//! - duplicate-response suppressions at the replicas
+//!   (`eternal.duplicate_responses`) and at the gateway
+//!   (`gateway.duplicate_responses_suppressed`), also exact: a §3.3
+//!   table that forgets an operation early or accepts one twice moves
+//!   them;
 //! - heap allocations and allocated bytes on this test's thread, per
 //!   request, which must stay within ±2 % of the table. The band covers
 //!   toolchain drift (the toolchain is not pinned); the counts are
@@ -141,6 +146,8 @@ struct Costs {
     requests: u64,
     broadcasts: u64,
     multicasts: u64,
+    replica_duplicates: u64,
+    gateway_suppressed: u64,
     allocs: u64,
     bytes: u64,
 }
@@ -161,6 +168,14 @@ impl Costs {
             (
                 format!("{}.sim_multicasts_per_req", self.name),
                 format!("{:.3}", Self::per_req(self.multicasts, n)),
+            ),
+            (
+                format!("{}.eternal_duplicate_responses_per_req", self.name),
+                format!("{:.3}", Self::per_req(self.replica_duplicates, n)),
+            ),
+            (
+                format!("{}.gateway_duplicates_suppressed_per_req", self.name),
+                format!("{:.3}", Self::per_req(self.gateway_suppressed, n)),
             ),
             (
                 format!("{}.allocs_per_req", self.name),
@@ -203,8 +218,11 @@ fn run(name: &'static str, type_name: &str, ops: &[(&str, Vec<u8>)]) -> Costs {
         await_replies(&mut world, client, done);
     }
 
-    let broadcasts0 = world.stats().counter("totem.broadcasts");
-    let multicasts0 = world.stats().counter("net.multicasts_sent");
+    let counter = |world: &World, name: &str| world.stats().counter(name);
+    let broadcasts0 = counter(&world, "totem.broadcasts");
+    let multicasts0 = counter(&world, "net.multicasts_sent");
+    let duplicates0 = counter(&world, "eternal.duplicate_responses");
+    let suppressed0 = counter(&world, "gateway.duplicate_responses_suppressed");
     let ((), allocs, bytes) = counted(|| {
         for (op, args) in ops {
             request(&mut world, client, op, args);
@@ -215,8 +233,10 @@ fn run(name: &'static str, type_name: &str, ops: &[(&str, Vec<u8>)]) -> Costs {
     Costs {
         name,
         requests: ops.len() as u64,
-        broadcasts: world.stats().counter("totem.broadcasts") - broadcasts0,
-        multicasts: world.stats().counter("net.multicasts_sent") - multicasts0,
+        broadcasts: counter(&world, "totem.broadcasts") - broadcasts0,
+        multicasts: counter(&world, "net.multicasts_sent") - multicasts0,
+        replica_duplicates: counter(&world, "eternal.duplicate_responses") - duplicates0,
+        gateway_suppressed: counter(&world, "gateway.duplicate_responses_suppressed") - suppressed0,
         allocs,
         bytes,
     }

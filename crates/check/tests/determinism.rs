@@ -46,6 +46,14 @@
 //! exactly one `die`, and the names of the deleted Criterion-shaped
 //! micro-bench clone are banned everywhere.
 //!
+//! And it polices hashed collections: `HashMap`, `HashSet`,
+//! `RandomState` and `DefaultHasher` appear only in
+//! `eternal/src/optable.rs`, the §3.3 operation table, whose randomly
+//! seeded index is never iterated, so its seed reaches no output.
+//! `RandomState` seeds itself from OS entropy, and iteration in hash
+//! order is insertion- and seed-dependent — both are ambient
+//! nondeterminism that must not reach recorded state.
+//!
 //! The same scanner also counts the code the simplicity reports quote:
 //! run `cargo test -p ftd-check --test determinism -- --nocapture
 //! code_lines` for the per-crate and total non-test code lines over
@@ -98,6 +106,12 @@ const SECOND_SHARD: &[&str] = &[
 /// The deleted second bench harness (no allowlist): the Criterion-shaped
 /// micro-bench clone, its entry macro and its JSON report switch.
 const SECOND_HARNESS: &[&str] = &["Criterion", "bench_main", "BENCH_JSON"];
+
+/// Hashed collections and the entropy-seeded hasher, allowed only in the
+/// operation table (no iteration in hash order).
+const HASHED: &[&str] = &["HashMap", "HashSet", "RandomState", "DefaultHasher"];
+
+const HASHED_ALLOWED: &[&str] = &["eternal/src/optable.rs"];
 
 const ALLOWED: &[&str] = &[
     "obs/src/clock.rs",
@@ -188,6 +202,18 @@ fn no_ambient_time_or_entropy_outside_the_recordable_seams() {
         "ambient nondeterminism outside the allowlisted seams — route it \
          through the ftd-obs Clock (or extend the allowlist with a \
          justification if it provably cannot reach recorded state):\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn hashed_collections_stay_inside_the_operation_table() {
+    let violations = scan(HASHED, HASHED_ALLOWED);
+    assert!(
+        violations.is_empty(),
+        "a hashed collection outside ftd_eternal::OpTable — its iteration \
+         order (and RandomState's seed) is ambient nondeterminism; use a \
+         BTreeMap, or an OpTable for operation-keyed FIFO tables:\n{}",
         violations.join("\n")
     );
 }

@@ -30,13 +30,14 @@
 
 use crate::gwmsg::GwMsg;
 use ftd_eternal::DomainMsg;
-use ftd_eternal::{FtHeader, OperationId, OperationKind, ResponseFilter, Voter};
+use ftd_eternal::{FtHeader, OpTable, OperationId, OperationKind, ResponseFilter, Voter};
 use ftd_giop::{
     ByteOrder, Frame, FrameBuf, GiopMessage, MsgType, ObjectKey, Reply, Request, RequestView,
     ServiceContext, DEFAULT_MAX_BODY_LEN, FT_CLIENT_ID_SERVICE_CONTEXT,
 };
 use ftd_obs::Clock;
 use ftd_totem::GroupId;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -390,6 +391,9 @@ struct ClientConn {
     client_key: Option<u32>,
     /// Whether the peer announced itself graceful (CloseConnection seen).
     graceful_close: bool,
+    /// GIOP minor version of the peer's latest message: what the gateway
+    /// writes back to it.
+    minor: u8,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,6 +431,16 @@ struct BridgeOrigin {
     server: GroupId,
 }
 
+/// A GIOP message re-stamped with minor version `minor`. GIOP 1.1's
+/// Reply, LocateReply and MessageError are laid out as 1.0's, so the
+/// version octet is all that differs.
+fn in_minor(mut bytes: Vec<u8>, minor: u8) -> Vec<u8> {
+    if let Some(octet) = bytes.get_mut(5) {
+        *octet = minor;
+    }
+    bytes
+}
+
 /// The §3 gateway state machine. See the module docs.
 pub struct GatewayEngine {
     config: EngineConfig,
@@ -439,8 +453,7 @@ pub struct GatewayEngine {
     filter: ResponseFilter,
     voter: Voter,
     /// Response cache for failover reissues: operation → reply IIOP bytes.
-    cache: BTreeMap<OperationId, Vec<u8>>,
-    cache_order: VecDeque<OperationId>,
+    cache: OpTable<Vec<u8>>,
     /// Bridge links to peer domains.
     bridges: BTreeMap<u32, BridgeLink>,
     next_forward_id: u32,
@@ -448,8 +461,7 @@ pub struct GatewayEngine {
     clock: Option<Arc<dyn Clock>>,
     /// Admission timestamps of in-flight operations (clock set only),
     /// bounded like the response cache.
-    admitted: BTreeMap<OperationId, u64>,
-    admitted_order: VecDeque<OperationId>,
+    admitted: OpTable<u64>,
     /// Per-server-group response fingerprints (`relay_replies` hosts).
     chains: BTreeMap<u32, ResponseChain>,
     /// Ensures each op is fingerprinted exactly once from the domain
@@ -483,6 +495,7 @@ impl GatewayEngine {
     /// pass the persisted values when reincarnating a cold-passive
     /// gateway, empty otherwise.
     pub fn new(config: EngineConfig, counters: BTreeMap<u32, u32>) -> Self {
+        let capacity = config.cache_capacity;
         GatewayEngine {
             config,
             conns: BTreeMap::new(),
@@ -490,13 +503,11 @@ impl GatewayEngine {
             counters,
             filter: ResponseFilter::new(4096),
             voter: Voter::new(),
-            cache: BTreeMap::new(),
-            cache_order: VecDeque::new(),
+            cache: OpTable::new(capacity),
             bridges: BTreeMap::new(),
             next_forward_id: 0,
             clock: None,
-            admitted: BTreeMap::new(),
-            admitted_order: VecDeque::new(),
+            admitted: OpTable::new(capacity),
             chains: BTreeMap::new(),
             domain_seen: ResponseFilter::new(4096),
             responses_fingerprinted: 0,
@@ -643,15 +654,7 @@ impl GatewayEngine {
     /// without limit.
     fn stamp_admission(&mut self, op: OperationId) {
         let Some(clock) = &self.clock else { return };
-        let now = clock.now_micros();
-        if self.admitted.insert(op, now).is_none() {
-            self.admitted_order.push_back(op);
-            while self.admitted_order.len() > self.config.cache_capacity {
-                if let Some(old) = self.admitted_order.pop_front() {
-                    self.admitted.remove(&old);
-                }
-            }
-        }
+        self.admitted.insert(op, clock.now_micros());
     }
 
     /// Closes `op`'s admission span, emitting [`Action::Latency`] keyed
@@ -680,16 +683,10 @@ impl GatewayEngine {
                 reply: reply.clone(),
             });
         }
-        if self.cache.insert(op, reply).is_none() {
-            self.cache_order.push_back(op);
-            if self.cache_order.len() > self.config.cache_capacity {
-                if let Some(old) = self.cache_order.pop_front() {
-                    self.cache.remove(&old);
-                    out.push(Action::Count {
-                        counter: "gateway.responses_evicted",
-                    });
-                }
-            }
+        if self.cache.insert(op, reply).is_some() {
+            out.push(Action::Count {
+                counter: "gateway.responses_evicted",
+            });
         }
     }
 
@@ -697,14 +694,7 @@ impl GatewayEngine {
     /// emitting actions — the restart path, fed from stable storage. The
     /// cache capacity is enforced (oldest recovered entry evicted first).
     pub fn restore_cached_response(&mut self, op: OperationId, reply: Vec<u8>) {
-        if self.cache.insert(op, reply).is_none() {
-            self.cache_order.push_back(op);
-            if self.cache_order.len() > self.config.cache_capacity {
-                if let Some(old) = self.cache_order.pop_front() {
-                    self.cache.remove(&old);
-                }
-            }
-        }
+        self.cache.insert(op, reply);
     }
 
     /// Seeds a §3.2 client-id counter from stable storage, keeping the
@@ -782,7 +772,8 @@ impl GatewayEngine {
             out.push(Action::CloseClient { conn });
             return out;
         }
-        self.conns.entry(conn).or_default();
+        let minor = frame.header().minor;
+        self.conns.entry(conn).or_default().minor = minor;
         if frame.msg_type() == MsgType::Request && frame.order() == ByteOrder::Big {
             match frame.request() {
                 Ok(Some(req)) => self.on_client_request(conn, req, frame.wire(), view, &mut out),
@@ -794,20 +785,25 @@ impl GatewayEngine {
         // Request is re-encoded anyway: owned decode.
         match frame.to_message() {
             Ok(msg @ GiopMessage::Request(_)) => {
-                let canonical = msg.encode(ByteOrder::Big);
+                // 1.1's three reserved octets fill 1.0's alignment gap,
+                // so the canonical bytes keep the client's minor version.
+                let mut canonical = msg.encode(ByteOrder::Big);
+                canonical[5] = minor;
                 let frame = Frame::parse(&canonical).expect("encoded message reparses");
                 return self.on_client_frame(conn, frame, view);
             }
             Ok(GiopMessage::LocateRequest { request_id, .. }) => {
                 // The gateway *is* the object as far as clients know.
-                out.push(Action::ToClient {
-                    conn,
-                    bytes: GiopMessage::LocateReply {
-                        request_id,
-                        locate_status: 1, // OBJECT_HERE
-                    }
-                    .encode(ByteOrder::Big),
-                });
+                out.push(
+                    self.to_client(
+                        conn,
+                        GiopMessage::LocateReply {
+                            request_id,
+                            locate_status: 1, // OBJECT_HERE
+                        }
+                        .encode(ByteOrder::Big),
+                    ),
+                );
             }
             Ok(GiopMessage::CloseConnection) => {
                 if let Some(state) = self.conns.get_mut(&conn) {
@@ -833,6 +829,15 @@ impl GatewayEngine {
         out
     }
 
+    /// `bytes` for `conn`, in the GIOP minor version it speaks.
+    fn to_client(&self, conn: GwConn, bytes: Vec<u8>) -> Action {
+        let minor = self.conns.get(&conn).map_or(0, |c| c.minor);
+        Action::ToClient {
+            conn,
+            bytes: in_minor(bytes, minor),
+        }
+    }
+
     /// The host's framer tripped on `conn`'s byte stream (bad magic,
     /// unknown message type, body over the cap): count it, send
     /// `MessageError`, and drop the connection — what a real ORB does,
@@ -848,10 +853,7 @@ impl GatewayEngine {
         out.push(Action::Count {
             counter: "gateway.protocol_errors",
         });
-        out.push(Action::ToClient {
-            conn,
-            bytes: GiopMessage::MessageError.encode(ByteOrder::Big),
-        });
+        out.push(self.to_client(conn, GiopMessage::MessageError.encode(ByteOrder::Big)));
         out.push(Action::CloseClient { conn });
         self.conns.remove(&conn);
     }
@@ -872,14 +874,13 @@ impl GatewayEngine {
             out.push(Action::Count {
                 counter: "gateway.bad_object_keys",
             });
-            out.push(Action::ToClient {
-                conn,
-                bytes: GiopMessage::Reply(Reply::system_exception(
-                    req.request_id,
-                    "OBJECT_NOT_EXIST",
-                ))
-                .encode(ByteOrder::Big),
-            });
+            out.push(
+                self.to_client(
+                    conn,
+                    GiopMessage::Reply(Reply::system_exception(req.request_id, "OBJECT_NOT_EXIST"))
+                        .encode(ByteOrder::Big),
+                ),
+            );
             return;
         };
 
@@ -929,10 +930,8 @@ impl GatewayEngine {
             out.push(Action::Count {
                 counter: "gateway.reissues_served_from_cache",
             });
-            out.push(Action::ToClient {
-                conn,
-                bytes: reply.clone(),
-            });
+            let reply = reply.clone();
+            out.push(self.to_client(conn, reply));
             return;
         }
 
@@ -1039,18 +1038,21 @@ impl GatewayEngine {
             }
             return out;
         }
-        if let Ok(DomainMsg::Iiop { header, iiop }) = DomainMsg::decode(payload) {
-            if header.kind == OperationKind::Response {
-                self.on_domain_response(&header, iiop, view, &mut out);
+        if let Ok(Some(msg)) = DomainMsg::peek_iiop(payload) {
+            if msg.header.kind == OperationKind::Response {
+                self.on_domain_response(&msg.header, msg.iiop, view, &mut out);
             }
         }
         out
     }
 
+    /// One replica's response, borrowed from the delivered payload: it
+    /// is copied only once it is voted on, fingerprinted or accepted, so
+    /// a suppressed duplicate costs a header read and a table lookup.
     fn on_domain_response(
         &mut self,
         header: &FtHeader,
-        iiop: Vec<u8>,
+        iiop: &[u8],
         view: &dyn DomainView,
         out: &mut Vec<Action>,
     ) {
@@ -1060,19 +1062,19 @@ impl GatewayEngine {
         // for active-with-voting groups, the bytes themselves otherwise.
         let mut candidate = if view.votes(header.source) {
             let size = view.live_replicas(header.source).max(1);
-            match self.voter.vote(op, iiop, size) {
-                Some(winner) => winner,
+            match self.voter.vote(op, iiop.to_vec(), size) {
+                Some(winner) => Cow::Owned(winner),
                 None => return,
             }
         } else {
-            iiop
+            Cow::Borrowed(iiop)
         };
 
         // Fingerprint every locally executed response exactly once —
         // even when a peer's relay already won the delivery filter —
         // so the per-group sequence stays aligned across members.
         let fingerprint = if self.config.relay_replies && self.domain_seen.accept(op) {
-            Some(self.fingerprint_response(header.source, &mut candidate))
+            Some(self.fingerprint_response(header.source, candidate.to_mut()))
         } else {
             None
         };
@@ -1086,7 +1088,7 @@ impl GatewayEngine {
             }
             return;
         }
-        let accepted = candidate;
+        let accepted = candidate.into_owned();
 
         self.cache_put(op, accepted.clone(), out);
         self.finish_admission(op, out);
@@ -1094,7 +1096,7 @@ impl GatewayEngine {
         // Route to the client socket by (destination group, client id)
         // (Fig. 5b; §3.2 "collectively").
         if let Some(&conn) = self.client_conns.get(&(op.target, op.client)) {
-            if self.conns.contains_key(&conn) {
+            if let Some(minor) = self.conns.get(&conn).map(|c| c.minor) {
                 if self.config.relay_replies {
                     // Out-of-process gateway group: peers cannot see our
                     // domain's responses, so relay the authoritative
@@ -1123,7 +1125,7 @@ impl GatewayEngine {
                 });
                 out.push(Action::ToClient {
                     conn,
-                    bytes: accepted,
+                    bytes: in_minor(accepted, minor),
                 });
                 return;
             }
@@ -1173,7 +1175,7 @@ impl GatewayEngine {
                     out.push(Action::Count {
                         counter: "gateway.replies_delivered",
                     });
-                    out.push(Action::ToClient { conn, bytes: reply });
+                    out.push(self.to_client(conn, reply));
                     return;
                 }
             }
@@ -1198,14 +1200,16 @@ impl GatewayEngine {
             out.push(Action::Count {
                 counter: "gateway.unroutable_domains",
             });
-            out.push(Action::ToClient {
-                conn,
-                bytes: GiopMessage::Reply(Reply::system_exception(
-                    req.request_id,
-                    "TRANSIENT: unknown fault tolerance domain",
-                ))
-                .encode(ByteOrder::Big),
-            });
+            out.push(
+                self.to_client(
+                    conn,
+                    GiopMessage::Reply(Reply::system_exception(
+                        req.request_id,
+                        "TRANSIENT: unknown fault tolerance domain",
+                    ))
+                    .encode(ByteOrder::Big),
+                ),
+            );
             return;
         }
 
@@ -1346,7 +1350,7 @@ impl GatewayEngine {
                 counter: "gateway.bridge_replies",
             });
             if let Some(&conn) = self.client_conns.get(&(origin.server, origin.client_key)) {
-                out.push(Action::ToClient { conn, bytes: wire });
+                out.push(self.to_client(conn, wire));
             }
         }
         out
@@ -1358,18 +1362,8 @@ impl GatewayEngine {
 
     fn gc_client(&mut self, client: u32) {
         self.client_conns.retain(|&(_, c), _| c != client);
-        let dead: Vec<OperationId> = self
-            .cache
-            .keys()
-            .filter(|op| op.client == client)
-            .copied()
-            .collect();
-        for op in dead {
-            self.cache.remove(&op);
-        }
-        self.cache_order.retain(|op| op.client != client);
+        self.cache.retain(|op, _| op.client != client);
         self.admitted.retain(|op, _| op.client != client);
-        self.admitted_order.retain(|op| op.client != client);
     }
 
     /// A snapshot of the §3.2 counters (for hosts that persist them).
@@ -1382,8 +1376,7 @@ impl GatewayEngine {
     /// the last event so no cached reply is silently dropped with the
     /// engine.
     pub fn drain_cached_responses(&mut self) -> Vec<(OperationId, Vec<u8>)> {
-        self.cache_order.clear();
-        std::mem::take(&mut self.cache).into_iter().collect()
+        self.cache.drain_sorted()
     }
 
     /// Canonically serializes the engine's replayable state — every
@@ -1391,11 +1384,13 @@ impl GatewayEngine {
     /// mean the runs were *not* the same: connections and their client
     /// keys, the §3.2 counters, the §3.5 response cache (contents and
     /// eviction order), in-flight admissions, bridge links, and the
-    /// duplicate-suppression tally. All maps are `BTreeMap`s, so the
-    /// byte string is a pure function of the state, never of insertion
-    /// or iteration order. `ftd-replay` hashes this into its
-    /// `StateDigest`; the encoding is internal and may change across
-    /// versions (digests only ever compare within one version).
+    /// duplicate-suppression tally. Maps are `BTreeMap`s and the
+    /// operation tables are exported in key order (the response cache
+    /// also in its eviction order), so the byte string is a pure
+    /// function of the state, never of hash or iteration order.
+    /// `ftd-replay` hashes this into its `StateDigest`; the encoding is
+    /// internal and may change across versions (digests only ever
+    /// compare within one version).
     pub fn state_bytes(&self) -> Vec<u8> {
         fn put_u32(out: &mut Vec<u8>, v: u32) {
             out.extend(v.to_be_bytes());
@@ -1439,16 +1434,16 @@ impl GatewayEngine {
             put_u32(&mut out, value);
         }
         put_u32(&mut out, self.cache.len() as u32);
-        for (op, reply) in &self.cache {
+        for (op, reply) in self.cache.sorted() {
             put_opid(&mut out, op);
             put_bytes(&mut out, reply);
         }
-        put_u32(&mut out, self.cache_order.len() as u32);
-        for op in &self.cache_order {
+        put_u32(&mut out, self.cache.len() as u32);
+        for (op, _) in self.cache.iter() {
             put_opid(&mut out, op);
         }
         put_u32(&mut out, self.admitted.len() as u32);
-        for (op, &ts) in &self.admitted {
+        for (op, &ts) in self.admitted.sorted() {
             put_opid(&mut out, op);
             put_u64(&mut out, ts);
         }

@@ -3,7 +3,7 @@
 
 use ftd_core::*;
 use ftd_eternal::{Counter, FtProperties, ObjectRegistry, ReplicationStyle};
-use ftd_giop::{ByteOrder, FrameBuf, GiopMessage, Reply, Request};
+use ftd_giop::{ByteOrder, Frame, FrameBuf, GiopMessage, Reply, Request};
 use ftd_sim::*;
 use ftd_totem::GroupId;
 
@@ -444,6 +444,8 @@ fn add3_giop_1_2(request_id: u32) -> Vec<u8> {
 /// What one probe connection saw, and what it did to the domain.
 struct Outcome {
     messages: Vec<GiopMessage>,
+    /// The GIOP minor version of each received message, in order.
+    minors: Vec<u8>,
     closed: bool,
     broadcasts: u64,
     counters: Vec<u64>,
@@ -458,8 +460,11 @@ fn send_raw(seed: u64, chunks: Vec<Vec<u8>>) -> Outcome {
     let mut reader = FrameBuf::new();
     reader.push(&p.received);
     let mut messages = Vec::new();
-    while let Some(m) = reader.next_message().unwrap() {
-        messages.push(m);
+    let mut minors = Vec::new();
+    while let Some(span) = reader.next_span().unwrap() {
+        let frame = Frame::parse(&reader.bytes()[span]).unwrap();
+        minors.push(frame.header().minor);
+        messages.push(frame.to_message().unwrap());
     }
     let counters = handle
         .processors
@@ -473,6 +478,7 @@ fn send_raw(seed: u64, chunks: Vec<Vec<u8>>) -> Outcome {
         .collect();
     Outcome {
         messages,
+        minors,
         closed: p.closed,
         broadcasts: world.stats().counter("totem.broadcasts") - before,
         counters,
@@ -505,12 +511,42 @@ fn assert_refused(out: &Outcome) {
 
 #[test]
 fn giop_1_0_request_executes_its_own_arguments() {
-    assert_executed_add3(&send_raw(21, vec![add3_with_header(1, 0, 0)]), 1);
+    let out = send_raw(21, vec![add3_with_header(1, 0, 0)]);
+    assert_executed_add3(&out, 1);
+    assert_eq!(out.minors, vec![0], "a 1.0 request gets a 1.0 reply");
 }
 
 #[test]
 fn giop_1_1_request_executes_its_own_arguments() {
-    assert_executed_add3(&send_raw(22, vec![add3_with_header(1, 1, 0)]), 1);
+    let out = send_raw(22, vec![add3_with_header(1, 1, 0)]);
+    assert_executed_add3(&out, 1);
+    assert_eq!(out.minors, vec![1], "a 1.1 request gets a 1.1 reply");
+}
+
+#[test]
+fn giop_1_1_error_and_locate_replies_keep_the_minor_version() {
+    let mut bad_key = GiopMessage::Request(Request {
+        object_key: b"not a key".to_vec(),
+        ..add3(4)
+    })
+    .encode(ByteOrder::Big);
+    bad_key[5] = 1;
+    let mut locate = GiopMessage::LocateRequest {
+        request_id: 5,
+        object_key: ftd_giop::ObjectKey::new(1, SERVER.0).to_bytes(),
+    }
+    .encode(ByteOrder::Big);
+    locate[5] = 1;
+    let out = send_raw(27, vec![bad_key, locate]);
+    assert!(matches!(
+        &out.messages[..],
+        [
+            GiopMessage::Reply(Reply { request_id: 4, .. }),
+            GiopMessage::LocateReply { request_id: 5, .. }
+        ]
+    ));
+    assert_eq!(out.minors, vec![1, 1]);
+    assert_eq!(out.counters, vec![0; 3], "nothing executed");
 }
 
 #[test]

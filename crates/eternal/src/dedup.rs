@@ -15,9 +15,8 @@
 //! * [`Voter`] — for active-with-voting groups: accept a response only
 //!   once a majority of replicas produced byte-identical copies.
 
-use crate::OperationId;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::{OpTable, OperationId};
+use std::collections::BTreeMap;
 
 /// Outcome of checking an arriving invocation against the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,38 +32,26 @@ pub enum InvocationCheck {
 /// Server-side duplicate-invocation table with bounded response retention.
 #[derive(Debug)]
 pub struct InvocationTable {
-    entries: BTreeMap<OperationId, Option<Vec<u8>>>,
-    order: VecDeque<OperationId>,
-    capacity: usize,
+    entries: OpTable<Option<Vec<u8>>>,
 }
 
 impl InvocationTable {
     /// Creates a table retaining at most `capacity` operations.
     pub fn new(capacity: usize) -> Self {
         InvocationTable {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
+            entries: OpTable::new(capacity.max(1)),
         }
     }
 
     /// Classifies an arriving invocation and registers it if fresh.
     pub fn check(&mut self, id: OperationId) -> InvocationCheck {
-        match self.entries.entry(id) {
-            Entry::Vacant(v) => {
-                v.insert(None);
-                self.order.push_back(id);
-                if self.order.len() > self.capacity {
-                    if let Some(old) = self.order.pop_front() {
-                        self.entries.remove(&old);
-                    }
-                }
+        match self.entries.get(&id) {
+            Some(None) => InvocationCheck::InProgress,
+            Some(Some(resp)) => InvocationCheck::Duplicate(resp.clone()),
+            None => {
+                self.entries.insert(id, None);
                 InvocationCheck::Fresh
             }
-            Entry::Occupied(o) => match o.get() {
-                None => InvocationCheck::InProgress,
-                Some(resp) => InvocationCheck::Duplicate(resp.clone()),
-            },
         }
     }
 
@@ -78,29 +65,15 @@ impl InvocationTable {
     /// Marks an operation as executed with its response even if it was
     /// never checked here (used when installing replicated log records).
     pub fn install(&mut self, id: OperationId, response: Vec<u8>) {
-        if let Entry::Vacant(v) = self.entries.entry(id) {
-            v.insert(Some(response));
-            self.order.push_back(id);
-            if self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.entries.remove(&old);
-                }
-            }
-        } else {
-            self.entries.insert(id, Some(response));
-        }
+        self.entries.insert(id, Some(response));
     }
 
-    /// All completed operations with their responses (for state transfer).
+    /// All completed operations with their responses, oldest first (for
+    /// state transfer).
     pub fn completed(&self) -> Vec<(OperationId, Vec<u8>)> {
-        self.order
+        self.entries
             .iter()
-            .filter_map(|id| {
-                self.entries
-                    .get(id)
-                    .and_then(|r| r.as_ref())
-                    .map(|r| (*id, r.clone()))
-            })
+            .filter_map(|(id, r)| r.as_ref().map(|r| (*id, r.clone())))
             .collect()
     }
 
@@ -118,9 +91,7 @@ impl InvocationTable {
 /// Receiver-side first-wins duplicate-response filter.
 #[derive(Debug)]
 pub struct ResponseFilter {
-    seen: BTreeSet<OperationId>,
-    order: VecDeque<OperationId>,
-    capacity: usize,
+    seen: OpTable<()>,
     suppressed: u64,
 }
 
@@ -128,9 +99,7 @@ impl ResponseFilter {
     /// Creates a filter remembering at most `capacity` operations.
     pub fn new(capacity: usize) -> Self {
         ResponseFilter {
-            seen: BTreeSet::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
+            seen: OpTable::new(capacity.max(1)),
             suppressed: 0,
         }
     }
@@ -142,13 +111,7 @@ impl ResponseFilter {
             self.suppressed += 1;
             return false;
         }
-        self.seen.insert(id);
-        self.order.push_back(id);
-        if self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
+        self.seen.insert(id, ());
         true
     }
 

@@ -7,8 +7,9 @@
 //!   active, active with voting ([`ReplicationStyle`], [`FtProperties`]);
 //! * **Replication Mechanisms** ([`Mechanisms`]) — execute invocations on
 //!   local replicas at their totally ordered delivery points, detect and
-//!   suppress duplicate invocations and responses, suspend/resume nested
-//!   invocations, and keep replicas strongly consistent;
+//!   suppress duplicate invocations and responses (bounded operation
+//!   tables, [`OpTable`]), suspend/resume nested invocations, and keep
+//!   replicas strongly consistent;
 //! * **Logging-Recovery Mechanisms** ([`GroupLog`]) — checkpoints,
 //!   operation logs, state transfer to new and recovering replicas, and
 //!   failover replay of unanswered invocations (the §3 primary-failure
@@ -41,6 +42,7 @@ mod interceptor;
 mod logging;
 mod manager;
 mod mechanisms;
+mod optable;
 mod style;
 
 pub use app::{AppObject, Counter, ObjectFactory, ObjectRegistry, Outcome};
@@ -56,4 +58,5 @@ pub use manager::{make_meta, DomainDirectory};
 pub use mechanisms::{
     derive_entropy, stub_group, MechConfig, Mechanisms, RootReply, ALL_DAEMONS_GROUP,
 };
+pub use optable::OpTable;
 pub use style::{FtProperties, ReplicationStyle};

@@ -2,8 +2,7 @@
 //! checkpoints, and the records that make passive failover, state
 //! transfer, and — through a [`LogSink`] — restart recovery possible.
 
-use crate::OperationId;
-use std::collections::{BTreeMap, VecDeque};
+use crate::{OpTable, OperationId};
 
 /// One replayable operation record (cold-passive log entry).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,10 +51,7 @@ pub struct GroupLog {
     checkpoint: Option<Vec<u8>>,
     ops: Vec<OpRecord>,
     /// Responses by operation, retained for duplicate answering.
-    responses: BTreeMap<OperationId, Vec<u8>>,
-    /// Insertion order of `responses`, for capped eviction.
-    response_order: VecDeque<OperationId>,
-    capacity: usize,
+    responses: OpTable<Vec<u8>>,
     evicted: u64,
     sink: Option<Box<dyn LogSink>>,
 }
@@ -65,7 +61,7 @@ impl std::fmt::Debug for GroupLog {
         f.debug_struct("GroupLog")
             .field("ops", &self.ops.len())
             .field("responses", &self.responses.len())
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.responses.capacity())
             .field("evicted", &self.evicted)
             .field("has_sink", &self.sink.is_some())
             .finish()
@@ -90,9 +86,7 @@ impl GroupLog {
         GroupLog {
             checkpoint: None,
             ops: Vec::new(),
-            responses: BTreeMap::new(),
-            response_order: VecDeque::new(),
-            capacity: capacity.max(1),
+            responses: OpTable::new(capacity.max(1)),
             evicted: 0,
             sink: None,
         }
@@ -109,18 +103,7 @@ impl GroupLog {
     }
 
     fn retain_response(&mut self, operation: OperationId, response: Vec<u8>) -> u64 {
-        if self.responses.insert(operation, response).is_none() {
-            self.response_order.push_back(operation);
-        }
-        let mut evicted = 0;
-        while self.responses.len() > self.capacity {
-            let Some(old) = self.response_order.pop_front() else {
-                break;
-            };
-            if self.responses.remove(&old).is_some() {
-                evicted += 1;
-            }
-        }
+        let evicted = u64::from(self.responses.insert(operation, response).is_some());
         self.evicted += evicted;
         evicted
     }
@@ -132,7 +115,8 @@ impl GroupLog {
         if let Some(sink) = &mut self.sink {
             let responses: Vec<(OperationId, Vec<u8>)> = self
                 .responses
-                .iter()
+                .sorted()
+                .into_iter()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
             sink.on_checkpoint(&state, &responses);
@@ -192,9 +176,13 @@ impl GroupLog {
         self.responses.get(operation).map(Vec::as_slice)
     }
 
-    /// All retained responses (for failover re-sending and state transfer).
+    /// All retained responses in key order (for failover re-sending and
+    /// state transfer).
     pub fn all_responses(&self) -> impl Iterator<Item = (&OperationId, &[u8])> {
-        self.responses.iter().map(|(k, v)| (k, v.as_slice()))
+        self.responses
+            .sorted()
+            .into_iter()
+            .map(|(k, v)| (k, v.as_slice()))
     }
 
     /// Number of retained responses.
@@ -212,7 +200,6 @@ impl GroupLog {
         self.checkpoint = None;
         self.ops.clear();
         self.responses.clear();
-        self.response_order.clear();
     }
 }
 

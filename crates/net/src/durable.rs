@@ -22,12 +22,14 @@
 use crate::backend::DomainBackend;
 use crate::host::{DomainHost, HostView};
 use crate::store::{read_len_bytes, read_opid, write_len_bytes, write_opid};
-use ftd_eternal::{DomainMsg, FtHeader, GroupLog, LogSink, OpRecord, OperationId, OperationKind};
+use ftd_eternal::{
+    DomainMsg, FtHeader, GroupLog, LogSink, OpRecord, OpTable, OperationId, OperationKind,
+};
 use ftd_obs::Registry;
 use ftd_sim::SimDuration;
 use ftd_store::{checkpoint, FsyncPolicy, Wal, WalOptions};
 use ftd_totem::GroupId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -132,8 +134,7 @@ pub struct DurableHost {
     registry: Option<Arc<Registry>>,
     logs: BTreeMap<GroupId, GroupLog>,
     /// Invocations multicast but not yet paired with their response.
-    pending: BTreeMap<OperationId, Vec<u8>>,
-    pending_order: VecDeque<OperationId>,
+    pending: OpTable<Vec<u8>>,
 }
 
 impl std::fmt::Debug for DurableHost {
@@ -182,8 +183,7 @@ impl DurableHost {
             fsync,
             registry,
             logs: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            pending_order: VecDeque::new(),
+            pending: OpTable::new(MAX_PENDING),
         };
         let mut report = DomainRecovery::default();
         let mut replay: Vec<OpRecord> = Vec::new();
@@ -275,7 +275,7 @@ impl DurableHost {
             };
             // Keep the invocation pending so the re-produced response is
             // re-appended to the (reset-on-checkpoint) log as usual.
-            self.note_pending(op, rec.invocation);
+            self.pending.insert(op, rec.invocation);
             let payload = msg.encode();
             if let Some(r) = recorder {
                 r.record(&ftd_replay::ReplayEvent::DomainMulticast {
@@ -309,17 +309,6 @@ impl DurableHost {
             "domain replay stalled: {} of the logged operations were never re-answered",
             awaiting.len()
         )))
-    }
-
-    fn note_pending(&mut self, op: OperationId, invocation: Vec<u8>) {
-        if self.pending.insert(op, invocation).is_none() {
-            self.pending_order.push_back(op);
-            while self.pending_order.len() > MAX_PENDING {
-                if let Some(old) = self.pending_order.pop_front() {
-                    self.pending.remove(&old);
-                }
-            }
-        }
     }
 
     /// The group's log, creating it (with its on-disk sink) on first use —
@@ -375,7 +364,7 @@ impl DomainBackend for DurableHost {
                     .get(&op.target)
                     .is_some_and(|log| log.response_for(&op).is_some());
                 if !answered {
-                    self.note_pending(op, iiop);
+                    self.pending.insert(op, iiop);
                 }
             }
         }
